@@ -79,13 +79,12 @@ def _eta_grid(step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
-def _stats(scenario: Scenario, channel, args, seeds, counters):
+def _stats(scenario: Scenario, channel, args, seeds):
+    """Channel stats through the cache; returns (stats, cache hit flag)."""
     budget = StatsBudget.from_log2_total(scenario.budget_log2)
-    st, hit = cached_channel_stats(channel, budget, seed=seeds["stats"],
-                                   cache_dir=args.cache_dir,
-                                   enabled=not args.no_cache)
-    counters["hits" if hit else "misses"] += 1
-    return st
+    return cached_channel_stats(channel, budget, seed=seeds["stats"],
+                                cache_dir=args.cache_dir,
+                                enabled=not args.no_cache)
 
 
 def _fallback_pdt(st, scenario: Scenario, seeds):
@@ -100,9 +99,9 @@ def _fallback_pdt(st, scenario: Scenario, seeds):
         return tln, "lognormal"
 
 
-def _table_stats(scenario, args, seeds, counters, diag):
+def _table_stats(scenario, args, seeds, diag):
     channel = scenario.channel
-    st = _stats(scenario, channel, args, seeds, counters)
+    st, hit = _stats(scenario, channel, args, seeds)
     diag["stats"] = st.diagnostics
     header = ["scenario_id", "seed", "cn2", "length_m", "mean_eta",
               "se_mean_eta", "mean_eta2", "se_mean_eta2", "sigma_bw2",
@@ -110,11 +109,11 @@ def _table_stats(scenario, args, seeds, counters, diag):
     row = [scenario.scenario_id, scenario.seed, channel.cn2, channel.length,
            st.mean_eta, st.se_mean_eta, st.mean_eta2, st.se_mean_eta2,
            st.sigma_bw2, st.se_sigma_bw2, st.wst2, rytov_parameter(channel)]
-    return header, [row]
+    return header, [row], [hit]
 
 
-def _table_pdt(scenario, args, seeds, counters, diag):
-    st = _stats(scenario, scenario.channel, args, seeds, counters)
+def _table_pdt(scenario, args, seeds, diag):
+    st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
     pdt_obj, family = _fallback_pdt(st, scenario, seeds)
     diag["pdt_family"] = family
@@ -126,11 +125,11 @@ def _table_pdt(scenario, args, seeds, counters, diag):
     header = ["scenario_id", "seed", "family", "eta", "density"]
     rows = [[scenario.scenario_id, scenario.seed, family, float(e), float(d)]
             for e, d in zip(grid, dens)]
-    return header, rows
+    return header, rows, [hit]
 
 
-def _table_exceedance(scenario, args, seeds, counters, diag):
-    st = _stats(scenario, scenario.channel, args, seeds, counters)
+def _table_exceedance(scenario, args, seeds, diag):
+    st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
     c = composite_pdt_build(st, scenario.channel.aperture_radius,
                             scenario.pdt_sample_count, seeds["pdt_build"])
@@ -142,15 +141,15 @@ def _table_exceedance(scenario, args, seeds, counters, diag):
         t = tracking_from_fraction(c.sigma_bw2, f, scenario.tracking_jitter2)
         tc = tracked_pdt(c, t)
         dens = composite_pdt_density(grid, tc)
-        exc = tracked_exceedance(grid, c, t)
+        exc = tracked_exceedance(grid, tc, None)
         rows.extend([scenario.scenario_id, scenario.seed, float(f), float(e),
                      float(d), float(x)]
                     for e, d, x in zip(grid, dens, exc))
-    return header, rows
+    return header, rows, [hit]
 
 
-def _table_squeezing(scenario, args, seeds, counters, diag):
-    st = _stats(scenario, scenario.channel, args, seeds, counters)
+def _table_squeezing(scenario, args, seeds, diag):
+    st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
     c = composite_pdt_build(st, scenario.channel.aperture_radius,
                             scenario.pdt_sample_count, seeds["pdt_build"])
@@ -159,13 +158,14 @@ def _table_squeezing(scenario, args, seeds, counters, diag):
     rows = []
     for f in scenario.tracking_fractions:
         t = tracking_from_fraction(c.sigma_bw2, f, scenario.tracking_jitter2)
+        tc = tracked_pdt(c, t)
         for eta_min in scenario.postselection_eta_min:
-            m1, _, acc = postselected_moments(c, t, eta_min)
-            sq = transmitted_squeezing_db(scenario.squeezing_input_db, c, t,
-                                          eta_min)
+            m1, _, acc = postselected_moments(tc, None, eta_min)
+            sq = transmitted_squeezing_db(scenario.squeezing_input_db, tc,
+                                          None, eta_min)
             rows.append([scenario.scenario_id, scenario.seed, float(f),
                          float(eta_min), acc, m1, sq])
-    return header, rows
+    return header, rows, [hit]
 
 
 QKD_HEADER = ["scenario_id", "seed", "length_m", "family", "mean_loss_db",
@@ -173,9 +173,13 @@ QKD_HEADER = ["scenario_id", "seed", "length_m", "family", "mean_loss_db",
               "improvement"]
 
 
-def _qkd_point(scenario, channel, args, seeds, counters):
-    """One averaged-key-rate evaluation; returns (row, point diagnostics)."""
-    st = _stats(scenario, channel, args, seeds, counters)
+def _qkd_point(scenario, channel, args, seeds):
+    """One averaged-key-rate evaluation.
+
+    Returns (row, point diagnostics, cache hit flag); it mutates nothing
+    shared, so sweep points can run on concurrent threads.
+    """
+    st, hit = _stats(scenario, channel, args, seeds)
     ext = channel.extinction_eta
     n = scenario.pdt_sample_count
     try:
@@ -210,31 +214,31 @@ def _qkd_point(scenario, channel, args, seeds, counters):
     point_diag = {"length_m": channel.length, "family": family,
                   "mean_loss_db": loss, "stats": st.diagnostics,
                   "rate_diag": res.diagnostics}
-    return row, point_diag
+    return row, point_diag, hit
 
 
-def _table_qkd(scenario, args, seeds, counters, diag):
-    row, point_diag = _qkd_point(scenario, scenario.channel, args, seeds,
-                                 counters)
+def _table_qkd(scenario, args, seeds, diag):
+    row, point_diag, hit = _qkd_point(scenario, scenario.channel, args, seeds)
     diag["points"] = [point_diag]
-    return QKD_HEADER, [row]
+    return QKD_HEADER, [row], [hit]
 
 
-def _table_sweep(scenario, args, seeds, counters, diag):
+def _table_sweep(scenario, args, seeds, diag):
     lengths = scenario.sweep_lengths
     workers = max(1, getattr(args, "workers", 1))
 
     def point(length):
         channel = scenario.channel.replace(length=length)
-        return _qkd_point(scenario, channel, args, seeds, counters)
+        return _qkd_point(scenario, channel, args, seeds)
 
     if workers == 1:
         results = [point(L) for L in lengths]
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(point, lengths))
-    diag["points"] = [d for _, d in results]
-    return QKD_HEADER, [row for row, _ in results]
+    diag["points"] = [d for _, d, _ in results]
+    return (QKD_HEADER, [row for row, _, _ in results],
+            [hit for _, _, hit in results])
 
 
 _TABLES = {
@@ -254,11 +258,10 @@ def _run(args) -> int:
     if args.budget is not None:
         scenario = dataclasses.replace(scenario, budget_log2=args.budget)
     seeds = _derived_seeds(scenario.seed)
-    counters = {"hits": 0, "misses": 0}
     diag = {}
 
-    header, rows = _TABLES[args.command](scenario, args, seeds, counters,
-                                         diag)
+    # Tables return one cache-hit flag per stats lookup.
+    header, rows, hits = _TABLES[args.command](scenario, args, seeds, diag)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -281,7 +284,7 @@ def _run(args) -> int:
                      "scipy": scipy.__version__,
                      "python": sys.version.split()[0]},
         "cache": {"enabled": not args.no_cache, "dir": cache_dir,
-                  "hits": counters["hits"], "misses": counters["misses"]},
+                  "hits": sum(hits), "misses": len(hits) - sum(hits)},
         "diagnostics": diag,
         "outputs": [csv_path.name],
         "written_at": time.time(),

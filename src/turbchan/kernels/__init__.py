@@ -7,7 +7,7 @@ from .stats import BeamStats, StatsBudget, channel_stats, eta2_qmc
 
 # Bumped whenever a kernel change alters numerical output; part of the
 # stats-cache key.
-KERNEL_VERSION = "2"
+KERNEL_VERSION = "3"
 
 __all__ = [
     "phase_structure_function", "gamma2", "gamma2_metadata",

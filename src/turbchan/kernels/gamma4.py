@@ -49,11 +49,17 @@ from scipy.stats import qmc
 
 from ..channel import ChannelParams
 from .gamma2 import gamma2
-from .structure_function import ds_colinear, ds_prefactor, ds_segment
+from .structure_function import (ds_colinear, ds_prefactor, ds_segment,
+                                 gauss_legendre_01)
 
 CHUNK = 8192  # fixed evaluation block; keeps reductions worker-independent
 DEFAULT_LOG2_POINTS = 16
 DEFAULT_REPLICATES = 16
+# Structure-function rule of the sampled segments. Against the 32-node rule
+# on the same points it moves the flux covariance by at most 0.023 standard
+# errors at 1-16 km and makes aperture_cov_qmc about 1.9x faster; its
+# quadrature error is tabulated in the structure_function module docstring.
+SEGMENT_RULE = gauss_legendre_01(8)
 
 
 @dataclass(frozen=True)
@@ -71,21 +77,25 @@ def _gaussian_coords(u, w0):
     return z * (w0 / math.sqrt(2.0))
 
 
-def grouped_exponent(ux, uy, r1x, r1y, r2x, r2y, r3x, r3y, prefactor):
-    """The grouped structure-function exponent S (non-positive up to noise)."""
-    s = ds_segment(ux, uy, r1x - r2x, r1y - r2y, prefactor)
-    s = s + ds_segment(ux, uy, r1x + r2x, r1y + r2y, prefactor)
-    s = s - ds_segment(ux, uy, r1x - r3x, r1y - r3y, prefactor)
-    s = s - ds_segment(ux, uy, r1x + r3x, r1y + r3y, prefactor)
-    s = s - ds_colinear(np.hypot(r2x - r3x, r2y - r3y), prefactor)
-    s = s - ds_colinear(np.hypot(r2x + r3x, r2y + r3y), prefactor)
-    return 0.5 * s
-
-
 def pair_exponent(r2x, r2y, r3x, r3y, prefactor):
     """Exponent S2 of the product of two mean intensities, same variables."""
     return -0.5 * (ds_colinear(np.hypot(r2x - r3x, r2y - r3y), prefactor)
                    + ds_colinear(np.hypot(r2x + r3x, r2y + r3y), prefactor))
+
+
+def grouped_exponent(ux, uy, r1x, r1y, r2x, r2y, r3x, r3y, prefactor):
+    """The grouped exponent S (non-positive up to noise) and its pair part S2.
+
+    S is S2 plus the four u-dependent segment terms, so the colinear pair
+    terms are evaluated once for both. Returns (S, S2).
+    """
+    nodes, weights = SEGMENT_RULE
+    s2 = pair_exponent(r2x, r2y, r3x, r3y, prefactor)
+    d = ds_segment(ux, uy, r1x - r2x, r1y - r2y, prefactor, nodes, weights)
+    d += ds_segment(ux, uy, r1x + r2x, r1y + r2y, prefactor, nodes, weights)
+    d -= ds_segment(ux, uy, r1x - r3x, r1y - r3y, prefactor, nodes, weights)
+    d -= ds_segment(ux, uy, r1x + r3x, r1y + r3y, prefactor, nodes, weights)
+    return s2 + 0.5 * d, s2
 
 
 def _replicate_rngs(seed, replicates):
@@ -122,9 +132,8 @@ def _scan_chunks(points, params: ChannelParams, disk_radius=None, fixed_uv=None)
         else:
             ux, uy, vx, vy = fixed_uv
             g = _gaussian_coords(p, params.w0)
-        s = grouped_exponent(ux, uy, g[:, 0], g[:, 1], g[:, 2], g[:, 3],
-                             g[:, 4], g[:, 5], pref)
-        s2 = pair_exponent(g[:, 2], g[:, 3], g[:, 4], g[:, 5], pref)
+        s, s2 = grouped_exponent(ux, uy, g[:, 0], g[:, 1], g[:, 2], g[:, 3],
+                                 g[:, 4], g[:, 5], pref)
         h = (np.cos(beta * (ux * g[:, 2] + uy * g[:, 3]))
              * np.cos(beta * (vx * g[:, 4] + vy * g[:, 5])))
         z = h * (np.exp(s) - np.exp(s2))
@@ -161,6 +170,7 @@ def _run_replicates(params, dim, log2_points, replicates, seed, disk_radius, fix
         "positive_s_fraction": n_pos / total_points,
         "s_max": s_max,
         "integrand_std": z_std,
+        "gl_nodes": len(SEGMENT_RULE[0]),
     }
     return value, se, diagnostics
 

@@ -5,8 +5,24 @@ The two-point function is
     D_S(r, r') = 2 Cn2 k^2 L Int_0^1 dxi |r xi + r' (1 - xi)|^(5/3),
 
 a line integral of the 5/3-power law along the segment joining the scaled
-endpoints. The xi integral is evaluated on fixed 32-node Gauss-Legendre
-points; when one argument vanishes the integral collapses to the closed form
+endpoints. :func:`ds_segment` evaluates the xi integral on a fixed
+Gauss-Legendre rule on [0, 1], which the caller chooses:
+
+* the pointwise :func:`phase_structure_function` uses the 32-node
+  ``GL_NODES``/``GL_WEIGHTS`` default;
+* the sampled fourth-order path (``kernels.gamma4``) uses an 8-node rule,
+  whose error is far below the sampling noise of the estimates it feeds.
+
+Relative error against adaptive quadrature split at the vertex of the
+quadratic under the power, over 300 pairs with independent Gaussian
+components (2 cm) and 300 nearly anti-parallel pairs (angle within about
+0.02 rad of pi; the tests draw both sets):
+
+    rule        Gaussian median / max    anti-parallel median / max
+    32 nodes    4e-16 / 5e-5             1.5e-5 / 7e-5
+    8 nodes     4e-8  / 1.8e-3           6e-4   / 2.3e-3
+
+When one argument vanishes the integral collapses to the closed form
 Int_0^1 (1-xi)^(5/3) dxi = 3/8.
 """
 
@@ -18,14 +34,15 @@ from ..channel import ChannelParams
 
 GL_ORDER = 32
 
-# Nodes and weights on [0, 1]; module-level so the vectorized path pays no
-# setup cost per call.
-_x64, _w64 = np.polynomial.legendre.leggauss(64)
-_x32, _w32 = np.polynomial.legendre.leggauss(GL_ORDER)
-GL_NODES = 0.5 * (_x32 + 1.0)
-GL_WEIGHTS = 0.5 * _w32
-GL_NODES_64 = 0.5 * (_x64 + 1.0)
-GL_WEIGHTS_64 = 0.5 * _w64
+
+def gauss_legendre_01(order: int):
+    """Nodes and weights of the Gauss-Legendre rule of the given order on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+# Module-level so the vectorized path pays no setup cost per call.
+GL_NODES, GL_WEIGHTS = gauss_legendre_01(GL_ORDER)
 
 
 def ds_prefactor(params: ChannelParams) -> float:
@@ -48,25 +65,35 @@ def ds_segment(rx, ry, px, py, prefactor: float, nodes=GL_NODES, weights=GL_WEIG
     prefactor : float
         Output of :func:`ds_prefactor`.
     nodes, weights : ndarray
-        Quadrature rule on [0, 1]; the defaults are the 32-node rule.
+        Quadrature rule on [0, 1] (see :func:`gauss_legendre_01`); the
+        defaults are the 32-node rule.
 
     Notes
     -----
-    |r xi + r'(1-xi)|^2 is a positive quadratic in xi for non-parallel
-    arguments, so the integrand is analytic and the fixed rule converges
-    geometrically. Exactly anti-parallel arguments put a |.|^(5/3) kink inside
-    the interval and lose accuracy; such points form a measure-zero set and do
-    not occur in the quadrature grids used by this package.
+    |r xi + r'(1-xi)|^2 = (a xi + b) xi + c, with a = |r - r'|^2,
+    b = 2 r'.(r - r') and c = |r'|^2, is a non-negative quadratic in xi. For
+    non-parallel arguments it stays positive, so the integrand is analytic
+    and the fixed rule converges geometrically. Anti-parallel arguments put
+    its zero, and a |.|^(5/3) kink, inside the interval: near there the
+    32-node rule keeps about 7e-5 relative accuracy and the 8-node rule of
+    the sampled path about 2.3e-3 (module docstring). Rounding can push q
+    a few ulps below zero near that kink, so q is clamped at 0 before the
+    power.
     """
-    rx, ry, px, py = np.broadcast_arrays(
-        np.asarray(rx, dtype=np.float64), np.asarray(ry, dtype=np.float64),
-        np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64))
-    xi = nodes.reshape((-1,) + (1,) * rx.ndim)
-    vx = rx * xi + px * (1.0 - xi)
-    vy = ry * xi + py * (1.0 - xi)
-    q = vx * vx + vy * vy
-    integral = np.tensordot(weights, q ** (5.0 / 6.0), axes=(0, 0))
-    return prefactor * integral
+    rx, ry, px, py = (np.asarray(v, dtype=np.float64) for v in (rx, ry, px, py))
+    dx = rx - px
+    dy = ry - py
+    a = dx * dx + dy * dy
+    b = 2.0 * (px * dx + py * dy)
+    c = px * px + py * py
+    xi = nodes.reshape((-1,) + (1,) * a.ndim)
+    q = a * xi
+    q += b
+    q *= xi
+    q += c
+    np.maximum(q, 0.0, out=q)
+    np.power(q, 5.0 / 6.0, out=q)
+    return prefactor * np.tensordot(weights, q, axes=(0, 0))
 
 
 def phase_structure_function(r, r_prime, params: ChannelParams) -> float:

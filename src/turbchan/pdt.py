@@ -9,8 +9,15 @@ Three families cover the regimes of interest:
   adequate when beam wandering is weak;
 * displacement-conditioned composite: a log-normal law for the transmittance
   conditioned on the centroid displacement radius, mixed over the Rayleigh
-  displacement distribution.  The mixture reproduces the moments it was
-  built from and interpolates between the two pure families.
+  displacement distribution; it interpolates between the two pure families.
+
+The composite is normalized so that its untruncated conditional moments
+(composite_moments, composite_expectation) reproduce the moments it was
+built from.  The density, exceedance and sampler use the conditionals
+truncated to (0, 1], whose moments fall below the inputs wherever a
+component's mean sits near 1: on the 1 km headline channel of
+scenarios/fig2_solid.cfg (mean_eta 0.949, mean_eta2 0.936) the truncated law
+has mean 0.838 and second moment 0.714.
 
 The composite supports density evaluation, sampling, expectations, moment
 recovery with standard errors, and a versioned JSON serialization so that

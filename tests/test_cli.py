@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 
 import pytest
 
@@ -205,6 +206,28 @@ def test_sweep_workers_equivalence(tmp_path):
             == (out2 / "t1_sweep.csv").read_bytes())
     rows = read_csv(out1 / "t1_sweep.csv")
     assert [r["length_m"] for r in rows] == ["1000", "2000"]
+
+
+def test_sweep_workers_cache_counts(tmp_path):
+    # More workers than cores and a short switch interval: a lost update of
+    # a shared counter would show as a wrong hit or miss count.
+    lengths = ["%d km" % L for L in range(1, 7)]
+    cfg = turb_cfg(tmp_path, "sweep",
+                   extra=["sweep.lengths = %s" % ", ".join(lengths)])
+    cache = str(tmp_path / "cache")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = []
+        for sub in ("o1", "o2"):
+            rc, out = run(["sweep", cfg, "--cache-dir", cache,
+                           "--workers", "4"], tmp_path, sub)
+            assert rc == 0
+            man = json.loads((out / "t1_sweep_manifest.json").read_text())
+            counts.append((man["cache"]["hits"], man["cache"]["misses"]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == [(0, len(lengths)), (len(lengths), 0)]
 
 
 def test_manifest_shape(tmp_path):

@@ -1,9 +1,15 @@
 """Two-point phase structure function against adaptive-quadrature anchors."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from turbchan import phase_structure_function
+from turbchan.kernels.gamma4 import SEGMENT_RULE
+from turbchan.kernels.structure_function import ds_segment
 
 from conftest import make_channel
 
@@ -65,3 +71,54 @@ def test_nonnegative_and_linear_in_cn2():
     b = phase_structure_function((0.01, 0.0), (0.0, 0.02), C1)
     assert a > 0.0
     assert b == pytest.approx(a * 40.0, rel=1e-12)
+
+
+def _segment_reference(r, p):
+    """Int_0^1 |r xi + p (1 - xi)|^(5/3) dxi by adaptive quadrature.
+
+    The integrand is q(xi)^(5/6) with q = (a xi + b) xi + c; splitting at
+    the vertex of q puts the kink of nearly anti-parallel pairs on a break.
+    """
+    d = r - p
+    a, b, c = d @ d, 2.0 * (p @ d), p @ p
+
+    def f(x):
+        return max((a * x + b) * x + c, 0.0) ** (5.0 / 6.0)
+
+    vertex = -b / (2.0 * a)
+    cuts = [0.0] + ([vertex] if 0.0 < vertex < 1.0 else []) + [1.0]
+    return sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13,
+                              limit=200)[0]
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+def _gaussian_pairs(rng, n):
+    return rng.normal(0.0, 0.02, (n, 2)), rng.normal(0.0, 0.02, (n, 2))
+
+
+def _anti_parallel_pairs(rng, n):
+    # r' is r rotated by pi +- ~0.02 rad and rescaled.
+    r = rng.normal(0.0, 0.02, (n, 2))
+    angle = math.pi + rng.normal(0.0, 0.02, n)
+    scale = rng.uniform(0.2, 5.0, n)
+    cos, sin = scale * np.cos(angle), scale * np.sin(angle)
+    p = np.stack([cos * r[:, 0] - sin * r[:, 1],
+                  sin * r[:, 0] + cos * r[:, 1]], axis=1)
+    return r, p
+
+
+@pytest.mark.parametrize("pairs, median_bound, max_bound", [
+    (_gaussian_pairs, 1e-6, 5e-3),
+    (_anti_parallel_pairs, 2e-3, 5e-3),
+])
+def test_sampled_rule_against_adaptive_quadrature(pairs, median_bound,
+                                                  max_bound):
+    # The short rule of the sampled fourth-order path. Generic pairs are
+    # analytic on [0, 1]; near anti-parallel ones carry the |.|^(5/3) kink.
+    r, p = pairs(np.random.default_rng(1), 300)
+    want = np.array([_segment_reference(a, b) for a, b in zip(r, p)])
+    nodes, weights = SEGMENT_RULE
+    got = ds_segment(r[:, 0], r[:, 1], p[:, 0], p[:, 1], 1.0, nodes, weights)
+    rel = np.abs(got - want) / want
+    assert np.median(rel) <= median_bound
+    assert rel.max() <= max_bound
