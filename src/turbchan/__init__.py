@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from .channel import ChannelParams, rytov_parameter
-from .kernels import (BeamStats, StatsBudget, channel_stats, eta2_qmc,
-                      gamma2, gamma2_metadata, gamma4,
-                      phase_structure_function)
+from .kernels import (BeamStats, StatsBudget, channel_stats,
+                      channel_stats_many, eta2_qmc, gamma2, gamma2_metadata,
+                      gamma4, phase_structure_function)
 from .pdt import (CompositeMoments, CompositePdt, TruncLogNormal,
                   WeibullParams, composite_expectation, composite_moments,
                   composite_mu, composite_pdt_build, composite_pdt_density,
@@ -21,13 +21,14 @@ from .qkd import (DecoyParams, KeyRateResult, averaged_key_rate,
                   key_rate_integrand, mean_loss_db, one_photon_gain_lower,
                   qber, relative_improvement)
 from .config import Scenario, load_scenario
-from .cache import (cached_channel_stats, default_cache_dir, stats_cache_get,
-                    stats_cache_put, stats_key)
+from .cache import (cached_channel_stats, cached_channel_stats_many,
+                    default_cache_dir, stats_cache_get, stats_cache_put,
+                    stats_key)
 
 __all__ = [
     "__version__",
     "ChannelParams", "rytov_parameter",
-    "BeamStats", "StatsBudget", "channel_stats",
+    "BeamStats", "StatsBudget", "channel_stats", "channel_stats_many",
     "phase_structure_function", "gamma2", "gamma2_metadata",
     "gamma4", "eta2_qmc",
     "WeibullParams", "weibull_params", "weibull_pdt_density",
@@ -45,5 +46,5 @@ __all__ = [
     "relative_improvement", "extinction_transmittance", "mean_loss_db",
     "Scenario", "load_scenario",
     "stats_key", "stats_cache_get", "stats_cache_put",
-    "cached_channel_stats", "default_cache_dir",
+    "cached_channel_stats", "cached_channel_stats_many", "default_cache_dir",
 ]

@@ -21,7 +21,7 @@ from pathlib import Path
 from .channel import ChannelParams
 from .errors import CacheCorrupt
 from .kernels import KERNEL_VERSION
-from .kernels.stats import BeamStats, StatsBudget, channel_stats
+from .kernels.stats import BeamStats, StatsBudget, channel_stats_many
 
 ENV_CACHE_DIR = "TURBCHAN_CACHE_DIR"
 CACHE_FORMAT = "turbchan.stats-cache"
@@ -114,18 +114,33 @@ def stats_cache_get(key: str, cache_dir=None):
         return None
 
 
+def cached_channel_stats_many(channels, budget: StatsBudget, seed: int = 0,
+                              cache_dir=None, enabled: bool = True) -> list:
+    """channel_stats_many with a read-through cache.
+
+    Reads every key first, computes only the misses in one batch (so they
+    share one covariance pass, which needs a common w0 and aperture radius)
+    and writes each new entry. Returns one
+    (stats, hit) pair per channel; hit says whether the value came from
+    disk. A channel listed twice is computed once.
+    """
+    keys = [stats_key(p, budget, seed) for p in channels]
+    found = {k: stats_cache_get(k, cache_dir) for k in keys} if enabled else {}
+    missing = {k: p for k, p in zip(keys, channels) if found.get(k) is None}
+    fresh = dict(zip(missing, channel_stats_many(list(missing.values()),
+                                                 budget, seed=seed)))
+    if enabled:
+        for k, stats in fresh.items():
+            stats_cache_put(k, stats, cache_dir)
+    return [(fresh[k], False) if k in fresh else (found[k], True)
+            for k in keys]
+
+
 def cached_channel_stats(params: ChannelParams, budget: StatsBudget,
                          seed: int = 0, cache_dir=None, enabled: bool = True):
     """channel_stats with a read-through cache.
 
     Returns (stats, hit) where hit says whether the value came from disk.
     """
-    key = stats_key(params, budget, seed)
-    if enabled:
-        stats = stats_cache_get(key, cache_dir)
-        if stats is not None:
-            return stats, True
-    stats = channel_stats(params, budget, seed=seed)
-    if enabled:
-        stats_cache_put(key, stats, cache_dir)
-    return stats, False
+    return cached_channel_stats_many([params], budget, seed, cache_dir,
+                                     enabled)[0]

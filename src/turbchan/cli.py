@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .cache import cached_channel_stats, default_cache_dir
+from .cache import cached_channel_stats_many, default_cache_dir
 from .channel import rytov_parameter
 from .config import Scenario, load_scenario
 from .errors import (ApproximationBreakdown, ConfigError, DegenerateDistribution,
@@ -79,12 +79,17 @@ def _eta_grid(step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
+def _stats_many(scenario: Scenario, channels, args, seeds):
+    """Channel stats through the cache, one batch; (stats, hit) per channel."""
+    budget = StatsBudget.from_log2_total(scenario.budget_log2)
+    return cached_channel_stats_many(channels, budget, seed=seeds["stats"],
+                                     cache_dir=args.cache_dir,
+                                     enabled=not args.no_cache)
+
+
 def _stats(scenario: Scenario, channel, args, seeds):
     """Channel stats through the cache; returns (stats, cache hit flag)."""
-    budget = StatsBudget.from_log2_total(scenario.budget_log2)
-    return cached_channel_stats(channel, budget, seed=seeds["stats"],
-                                cache_dir=args.cache_dir,
-                                enabled=not args.no_cache)
+    return _stats_many(scenario, [channel], args, seeds)[0]
 
 
 def _fallback_pdt(st, scenario: Scenario, seeds):
@@ -173,13 +178,12 @@ QKD_HEADER = ["scenario_id", "seed", "length_m", "family", "mean_loss_db",
               "improvement"]
 
 
-def _qkd_point(scenario, channel, args, seeds):
-    """One averaged-key-rate evaluation.
+def _qkd_point(scenario, channel, st, seeds):
+    """One averaged-key-rate evaluation from the channel's stats.
 
-    Returns (row, point diagnostics, cache hit flag); it mutates nothing
-    shared, so sweep points can run on concurrent threads.
+    Returns (row, point diagnostics); it mutates nothing shared, so sweep
+    points can run on concurrent threads.
     """
-    st, hit = _stats(scenario, channel, args, seeds)
     ext = channel.extinction_eta
     n = scenario.pdt_sample_count
     try:
@@ -214,31 +218,36 @@ def _qkd_point(scenario, channel, args, seeds):
     point_diag = {"length_m": channel.length, "family": family,
                   "mean_loss_db": loss, "stats": st.diagnostics,
                   "rate_diag": res.diagnostics}
-    return row, point_diag, hit
+    return row, point_diag
 
 
 def _table_qkd(scenario, args, seeds, diag):
-    row, point_diag, hit = _qkd_point(scenario, scenario.channel, args, seeds)
+    st, hit = _stats(scenario, scenario.channel, args, seeds)
+    row, point_diag = _qkd_point(scenario, scenario.channel, st, seeds)
     diag["points"] = [point_diag]
     return QKD_HEADER, [row], [hit]
 
 
 def _table_sweep(scenario, args, seeds, diag):
-    lengths = scenario.sweep_lengths
+    # One batched lookup: the missing lengths share one covariance pass.
+    # The workers only parallelize the per-point downstream work.
+    channels = [scenario.channel.replace(length=L)
+                for L in scenario.sweep_lengths]
+    looked_up = _stats_many(scenario, channels, args, seeds)
+    stats = [st for st, _ in looked_up]
     workers = max(1, getattr(args, "workers", 1))
 
-    def point(length):
-        channel = scenario.channel.replace(length=length)
-        return _qkd_point(scenario, channel, args, seeds)
+    def point(channel, st):
+        return _qkd_point(scenario, channel, st, seeds)
 
     if workers == 1:
-        results = [point(L) for L in lengths]
+        results = list(map(point, channels, stats))
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(point, lengths))
-    diag["points"] = [d for _, d, _ in results]
-    return (QKD_HEADER, [row for row, _, _ in results],
-            [hit for _, _, hit in results])
+            results = list(ex.map(point, channels, stats))
+    diag["points"] = [d for _, d in results]
+    return (QKD_HEADER, [row for row, _ in results],
+            [hit for _, hit in looked_up])
 
 
 _TABLES = {
@@ -326,8 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for CSV and manifest output")
         if name == "sweep":
             p.add_argument("--workers", type=int, default=1,
-                           help="concurrent sweep points (results do not "
-                                "depend on this)")
+                           help="threads for the per-point downstream work; "
+                                "the stats of all lengths come from one "
+                                "shared pass (results do not depend on "
+                                "this)")
     return parser
 
 

@@ -41,6 +41,22 @@ def _hermgauss(n: int):
     return x, w
 
 
+def envelope_exponent(params: ChannelParams):
+    """rho -> -rho^2/(2 W0^2) - D_S(0, rho)/2, the exponent of :func:`envelope`.
+
+    The two constants are bound once; the returned function takes a float
+    (for the scalar integrands of the radial quadratures, with math.exp)
+    or an array.
+    """
+    two_w02 = 2.0 * params.w0 ** 2
+    c = 0.5 * 0.375 * ds_prefactor(params)
+
+    def exponent(rho):
+        return -rho * rho / two_w02 - c * rho ** (5.0 / 3.0)
+
+    return exponent
+
+
 def envelope(rho, params: ChannelParams):
     """Radial source-plane weight exp(-rho^2/(2 W0^2) - D_S(0, rho)/2).
 
@@ -48,9 +64,7 @@ def envelope(rho, params: ChannelParams):
     core shared by every reduction of Gamma_2 (pointwise values, aperture
     mass, second moments).
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    c = 0.5 * 0.375 * ds_prefactor(params)
-    return np.exp(-rho * rho / (2.0 * params.w0 ** 2) - c * rho ** (5.0 / 3.0))
+    return np.exp(envelope_exponent(params)(np.asarray(rho, dtype=np.float64)))
 
 
 def _gh_sum(r, params: ChannelParams, n: int) -> complex:

@@ -36,6 +36,15 @@ aperture points. Standard errors come from independently scrambled
 replicates. The plain centered estimator h expm1(S) with the closed-form
 vacuum control variate was measured 10x noisier on a Rytov-1.7 configuration
 and is not used.
+
+Channels that share w0 and the aperture radius share one pass over the
+points (common random numbers). Per chunk of points the disk and Gaussian
+coordinates, the exponents S and S2 at unit prefactor and the two phase
+arguments u.r2' and v.r3' are computed once; length and wavelength enter
+only through the prefactor 2 Cn2 k^2 L, which scales S and S2, and through
+beta = k/L in the cosines, so each channel adds just its exponentials,
+cosines and sums. A channel's result does not depend on which others share
+its pass.
 """
 
 from __future__ import annotations
@@ -103,20 +112,23 @@ def _replicate_rngs(seed, replicates):
             for s in np.random.SeedSequence(seed).spawn(replicates)]
 
 
-def _scan_chunks(points, params: ChannelParams, disk_radius=None, fixed_uv=None):
+def _scan_chunks(points, channels, disk_radius=None, fixed_uv=None):
     """Per-chunk accumulation of the covariance integrand h (e^S - e^{S2}).
 
     Either ``disk_radius`` is given (first four columns are folded into two
     uniform aperture points) or ``fixed_uv`` pins (u, v) for a pointwise
-    fourth-order value. Returns the mean with running diagnostics.
+    fourth-order value. The channels share w0, so each chunk's coordinates,
+    unit-prefactor exponents and phase arguments are computed once; every
+    channel then scales the exponents by its own prefactor and the phase
+    arguments by its own beta. Returns one (mean, diagnostics) per channel.
     """
-    pref = ds_prefactor(params)
-    beta = params.k / params.length
+    w0 = channels[0].w0
+    scales = [(ds_prefactor(c), c.k / c.length) for c in channels]
     n = points.shape[0]
-    total = 0.0
-    total_sq = 0.0
-    n_pos = 0
-    s_max = -math.inf
+    total = [0.0] * len(channels)
+    total_sq = [0.0] * len(channels)
+    n_pos = [0] * len(channels)
+    s_max = [-math.inf] * len(channels)
     for lo in range(0, n, CHUNK):
         p = points[lo:lo + CHUNK]
         if disk_radius is not None:
@@ -128,57 +140,71 @@ def _scan_chunks(points, params: ChannelParams, disk_radius=None, fixed_uv=None)
             x2, y2 = rad2 * np.cos(th2), rad2 * np.sin(th2)
             ux, uy = x1 - x2, y1 - y2
             vx, vy = x1 + x2, y1 + y2
-            g = _gaussian_coords(p[:, 4:], params.w0)
+            g = _gaussian_coords(p[:, 4:], w0)
         else:
             ux, uy, vx, vy = fixed_uv
-            g = _gaussian_coords(p, params.w0)
-        s, s2 = grouped_exponent(ux, uy, g[:, 0], g[:, 1], g[:, 2], g[:, 3],
-                                 g[:, 4], g[:, 5], pref)
-        h = (np.cos(beta * (ux * g[:, 2] + uy * g[:, 3]))
-             * np.cos(beta * (vx * g[:, 4] + vy * g[:, 5])))
-        z = h * (np.exp(s) - np.exp(s2))
-        total += float(np.sum(z))
-        total_sq += float(np.sum(z * z))
-        n_pos += int(np.count_nonzero(s > 1e-12))
-        s_max = max(s_max, float(np.max(s)))
-    var = max(total_sq / n - (total / n) ** 2, 0.0)
-    return total / n, {"positive_s": n_pos, "s_max": s_max,
-                       "integrand_std": math.sqrt(var)}
+            g = _gaussian_coords(p, w0)
+        s1, s21 = grouped_exponent(ux, uy, g[:, 0], g[:, 1], g[:, 2], g[:, 3],
+                                   g[:, 4], g[:, 5], 1.0)
+        au = ux * g[:, 2] + uy * g[:, 3]
+        av = vx * g[:, 4] + vy * g[:, 5]
+        for i, (pref, beta) in enumerate(scales):
+            s = pref * s1
+            h = np.cos(beta * au) * np.cos(beta * av)
+            z = h * (np.exp(s) - np.exp(pref * s21))
+            total[i] += float(np.sum(z))
+            total_sq[i] += float(np.sum(z * z))
+            n_pos[i] += int(np.count_nonzero(s > 1e-12))
+            s_max[i] = max(s_max[i], float(np.max(s)))
+    out = []
+    for i in range(len(channels)):
+        var = max(total_sq[i] / n - (total[i] / n) ** 2, 0.0)
+        out.append((total[i] / n, {"positive_s": n_pos[i], "s_max": s_max[i],
+                                   "integrand_std": math.sqrt(var)}))
+    return out
 
 
-def _run_replicates(params, dim, log2_points, replicates, seed, disk_radius, fixed_uv):
-    means = []
-    n_pos = 0
-    s_max = -math.inf
-    z_std = 0.0
+def _run_replicates(channels, dim, log2_points, replicates, seed, disk_radius,
+                    fixed_uv):
+    """Replicate means and diagnostics, one (value, se, diagnostics) per
+    channel; every channel sees the same scrambled points."""
+    per_channel = [[] for _ in channels]
     for rng in _replicate_rngs(seed, replicates):
         sob = qmc.Sobol(d=dim, scramble=True, seed=rng)
         pts = sob.random_base2(log2_points)
-        m, diag = _scan_chunks(pts, params, disk_radius, fixed_uv)
-        means.append(m)
-        n_pos += diag["positive_s"]
-        s_max = max(s_max, diag["s_max"])
-        z_std = max(z_std, diag["integrand_std"])
-    means = np.asarray(means)
-    value = float(np.mean(means))
-    se = float(np.std(means, ddof=1) / math.sqrt(len(means))) if len(means) > 1 else 0.0
+        for acc, res in zip(per_channel,
+                            _scan_chunks(pts, channels, disk_radius, fixed_uv)):
+            acc.append(res)
     total_points = replicates * 2 ** log2_points
-    diagnostics = {
-        "points": total_points,
-        "replicates": replicates,
-        "log2_points": log2_points,
-        "positive_s_fraction": n_pos / total_points,
-        "s_max": s_max,
-        "integrand_std": z_std,
-        "gl_nodes": len(SEGMENT_RULE[0]),
-    }
-    return value, se, diagnostics
+    out = []
+    for acc in per_channel:
+        means = np.asarray([m for m, _ in acc])
+        value = float(np.mean(means))
+        se = (float(np.std(means, ddof=1) / math.sqrt(len(means)))
+              if len(means) > 1 else 0.0)
+        diagnostics = {
+            "points": total_points,
+            "replicates": replicates,
+            "log2_points": log2_points,
+            "positive_s_fraction": sum(d["positive_s"] for _, d in acc)
+                                   / total_points,
+            "s_max": max(d["s_max"] for _, d in acc),
+            "integrand_std": max(d["integrand_std"] for _, d in acc),
+            "gl_nodes": len(SEGMENT_RULE[0]),
+        }
+        out.append((value, se, diagnostics))
+    return out
 
 
 def vacuum_gamma2(r2, params: ChannelParams) -> float:
     """Closed-form vacuum mean intensity at squared radius r2."""
     pref = params.k ** 2 * params.w0 ** 2 / (2.0 * math.pi * params.length ** 2)
     return pref * math.exp(-2.0 * r2 / params.w_vac ** 2)
+
+
+def _vacuum_result(value: float) -> QmcResult:
+    return QmcResult(value, 0.0, {"points": 0, "replicates": 0,
+                                  "vacuum_closed_form": True})
 
 
 def gamma4(r1, r2, params: ChannelParams,
@@ -196,15 +222,52 @@ def gamma4(r1, r2, params: ChannelParams,
     vx, vy = float(r1[0] + r2[0]), float(r1[1] + r2[1])
     pref4 = params.k ** 4 * params.w0 ** 4 / (4.0 * math.pi ** 2 * params.length ** 4)
     if ds_prefactor(params) == 0.0:
-        vac = (vacuum_gamma2(float(r1[0]) ** 2 + float(r1[1]) ** 2, params)
-               * vacuum_gamma2(float(r2[0]) ** 2 + float(r2[1]) ** 2, params))
-        return QmcResult(vac, 0.0, {"points": 0, "replicates": 0,
-                                    "vacuum_closed_form": True})
+        return _vacuum_result(
+            vacuum_gamma2(float(r1[0]) ** 2 + float(r1[1]) ** 2, params)
+            * vacuum_gamma2(float(r2[0]) ** 2 + float(r2[1]) ** 2, params))
     product = gamma2(r1, params) * gamma2(r2, params)
-    mean, se, diag = _run_replicates(params, 6, log2_points, replicates, seed,
-                                     None, (ux, uy, vx, vy))
+    [(mean, se, diag)] = _run_replicates([params], 6, log2_points, replicates,
+                                         seed, None, (ux, uy, vx, vy))
     diag["pair_product"] = product
     return QmcResult(product + pref4 * mean, pref4 * se, diag)
+
+
+def aperture_cov_qmc_many(channels, log2_points: int = DEFAULT_LOG2_POINTS,
+                          replicates: int = DEFAULT_REPLICATES,
+                          seed: int = 0) -> list:
+    """Flux covariance of several channels in one pass over shared points.
+
+    Returns one :func:`aperture_cov_qmc` result per channel, each bit for bit
+    the value of a one-channel call: the channels see the same scrambled
+    points, and the length-independent work per chunk (points, coordinates,
+    unit-prefactor structure-function sums, phase arguments) is done once.
+    Vacuum channels get the closed form without sampling.
+
+    Raises
+    ------
+    ValueError
+        If the channels do not share w0 and aperture_radius, which fix the
+        sampled coordinates.
+    """
+    channels = list(channels)
+    if len({(c.w0, c.aperture_radius) for c in channels}) > 1:
+        raise ValueError("a shared covariance pass needs one w0 and one "
+                         "aperture radius")
+    turbulent = [c for c in channels if ds_prefactor(c) != 0.0]
+    sampled = iter(_run_replicates(
+        turbulent, 10, log2_points, replicates, seed,
+        turbulent[0].aperture_radius, None) if turbulent else ())
+    out = []
+    for params in channels:
+        if ds_prefactor(params) == 0.0:
+            out.append(_vacuum_result(0.0))
+            continue
+        a = params.aperture_radius
+        t = 2.0 * a * a / params.w_vac ** 2
+        amp = t * t  # (pi a^2)^2 * pref4 * (pi W0^2)^3, the folded-weight scale
+        mean, se, diag = next(sampled)
+        out.append(QmcResult(amp * mean, amp * se, diag))
+    return out
 
 
 def aperture_cov_qmc(params: ChannelParams,
@@ -218,12 +281,4 @@ def aperture_cov_qmc(params: ChannelParams,
     compounding), six sample the Gaussian source variables. The mean-square
     transmittance is this value plus the squared mean transmittance.
     """
-    a = params.aperture_radius
-    t = 2.0 * a * a / params.w_vac ** 2
-    amp = t * t  # (pi a^2)^2 * pref4 * (pi W0^2)^3, the folded-weight scale
-    if ds_prefactor(params) == 0.0:
-        return QmcResult(0.0, 0.0, {"points": 0, "replicates": 0,
-                                    "vacuum_closed_form": True})
-    mean, se, diag = _run_replicates(params, 10, log2_points, replicates, seed,
-                                     a, None)
-    return QmcResult(amp * mean, amp * se, diag)
+    return aperture_cov_qmc_many([params], log2_points, replicates, seed)[0]

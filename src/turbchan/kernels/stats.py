@@ -37,9 +37,9 @@ from scipy import integrate, optimize, special
 
 from ..channel import ChannelParams
 from ..errors import QuadratureNotConverged, StatsInvariantViolation
-from .gamma2 import envelope
+from .gamma2 import envelope_exponent
 from .gamma4 import (DEFAULT_LOG2_POINTS, DEFAULT_REPLICATES, QmcResult,
-                     aperture_cov_qmc)
+                     aperture_cov_qmc, aperture_cov_qmc_many)
 
 # Relative floor applied to quoted standard errors: deterministic quadrature
 # results are exact only to their tolerance, and exact closed forms (vacuum)
@@ -121,9 +121,10 @@ def _support_radius(params: ChannelParams) -> float:
 def enclosed_mass(radius: float, params: ChannelParams) -> tuple[float, float]:
     """Beam mass inside the given receiver radius, with quadrature error."""
     c = params.k * radius / params.length
+    exponent = envelope_exponent(params)
 
     def f(rho):
-        return envelope(rho, params) * special.j1(c * rho)
+        return math.exp(exponent(rho)) * special.j1(c * rho)
 
     val, err = _radial_quad(f, _support_radius(params))
     return c * val, c * err
@@ -134,14 +135,20 @@ def mean_eta_quad(params: ChannelParams) -> tuple[float, float]:
     return enclosed_mass(params.aperture_radius, params)
 
 
-def mass_cut_radius(params: ChannelParams, fraction: float = MASS_FRACTION) -> float:
-    """Radius enclosing the given fraction of the (unit) beam mass."""
+def mass_cut_radius(params: ChannelParams, fraction: float = MASS_FRACTION,
+                    hi: float | None = None) -> float:
+    """Radius enclosing the given fraction of the (unit) beam mass.
+
+    hi, when given, is a radius known to enclose more than the fraction; it
+    replaces the doubling search for the upper end of the root bracket.
+    """
     lo = 0.25 * params.w_vac
-    hi = 4.0 * params.w_vac
-    while enclosed_mass(hi, params)[0] < fraction:
-        hi *= 2.0
-        if hi > 1e4 * params.w_vac:
-            raise QuadratureNotConverged("mass quantile bracket failed")
+    if hi is None:
+        hi = 4.0 * params.w_vac
+        while enclosed_mass(hi, params)[0] < fraction:
+            hi *= 2.0
+            if hi > 1e4 * params.w_vac:
+                raise QuadratureNotConverged("mass quantile bracket failed")
     return optimize.brentq(
         lambda r: enclosed_mass(r, params)[0] - fraction, lo, hi,
         xtol=1e-12, rtol=1e-12)
@@ -150,11 +157,12 @@ def mass_cut_radius(params: ChannelParams, fraction: float = MASS_FRACTION) -> f
 def x2_moment(radius: float, params: ChannelParams) -> tuple[float, float]:
     """Int x^2 Gamma_2 over the centered disk of the given radius."""
     c = params.k * radius / params.length
+    exponent = envelope_exponent(params)
 
     def f(rho):
         if rho == 0.0:
             return 0.0
-        return envelope(rho, params) * special.jv(2, c * rho) / rho
+        return math.exp(exponent(rho)) * special.jv(2, c * rho) / rho
 
     mass, mass_err = enclosed_mass(radius, params)
     tail, tail_err = _radial_quad(f, _support_radius(params))
@@ -181,6 +189,14 @@ def _floored(se: float, value: float) -> float:
     return max(se, SE_FLOOR * (1.0 + abs(value)))
 
 
+def _eta2_result(mean_eta: float, cov: QmcResult) -> QmcResult:
+    """Mean-square transmittance: squared mean plus the flux covariance."""
+    diag = dict(cov.diagnostics)
+    diag["flux_covariance"] = cov.value
+    diag["mean_eta_sq"] = mean_eta ** 2
+    return QmcResult(mean_eta ** 2 + cov.value, cov.std_error, diag)
+
+
 def eta2_qmc(params: ChannelParams,
              log2_points: int = DEFAULT_LOG2_POINTS,
              replicates: int = DEFAULT_REPLICATES,
@@ -196,48 +212,42 @@ def eta2_qmc(params: ChannelParams,
     """
     if mean_eta is None:
         mean_eta = min(mean_eta_quad(params)[0], 1.0)
-    cov = aperture_cov_qmc(params, log2_points, replicates, seed)
-    diag = dict(cov.diagnostics)
-    diag["flux_covariance"] = cov.value
-    diag["mean_eta_sq"] = mean_eta ** 2
-    return QmcResult(mean_eta ** 2 + cov.value, cov.std_error, diag)
+    return _eta2_result(mean_eta,
+                        aperture_cov_qmc(params, log2_points, replicates, seed))
 
 
-def channel_stats(params: ChannelParams, budget: StatsBudget | None = None,
-                  seed: int = 0) -> BeamStats:
-    """All four channel statistics with standard errors and diagnostics.
+def _quadrature_stats(params: ChannelParams) -> dict:
+    """The deterministic part of channel_stats: everything but mean_eta2.
 
-    The moment inequalities mean_eta^2 <= mean_eta2 <= mean_eta can be broken
-    by sampling noise; violations within 3 standard errors are clamped to the
-    nearest boundary and recorded in diagnostics["clamped"], larger ones raise
-    StatsInvariantViolation. A non-positive short-term width also raises.
+    Raises StatsInvariantViolation for a non-positive short-term width.
     """
-    budget = budget or StatsBudget()
-    diagnostics: dict = {}
-
     mean_eta, me_err = mean_eta_quad(params)
     mean_eta = min(mean_eta, 1.0)
-    se_me = _floored(me_err, mean_eta)
-
     sbw2, sbw_err = sigma_bw2_quad(params)
-    se_sbw = _floored(sbw_err, sbw2)
-
     rcut = mass_cut_radius(params, MASS_FRACTION)
     x2, x2_err = x2_moment(rcut, params)
     wst2 = 4.0 * (x2 - sbw2)
-    rcut99 = mass_cut_radius(params, 0.99)
+    # The 99.9% radius encloses more than 99%, so it closes the bracket.
+    rcut99 = mass_cut_radius(params, 0.99, hi=rcut)
     x2_99, _ = x2_moment(rcut99, params)
-    diagnostics["mass_fraction"] = MASS_FRACTION
-    diagnostics["rcut_m"] = rcut
-    diagnostics["wst2_sensitivity_99"] = 4.0 * (x2_99 - sbw2)
-    diagnostics["x2_error"] = x2_err
-
     if wst2 <= 0.0:
         raise StatsInvariantViolation(
             "short-term width squared is non-positive (%.3g)" % wst2)
+    return {
+        "mean_eta": mean_eta, "se_mean_eta": _floored(me_err, mean_eta),
+        "sigma_bw2": sbw2, "se_sigma_bw2": _floored(sbw_err, sbw2),
+        "wst2": wst2,
+        "diagnostics": {"mass_fraction": MASS_FRACTION, "rcut_m": rcut,
+                        "wst2_sensitivity_99": 4.0 * (x2_99 - sbw2),
+                        "x2_error": x2_err},
+    }
 
-    res = eta2_qmc(params, budget.eta2_log2_points,
-                   budget.eta2_replicates, seed, mean_eta=mean_eta)
+
+def _beam_stats(fields: dict, res: QmcResult) -> BeamStats:
+    """BeamStats from the quadrature fields and the mean-square estimate,
+    clamping moment-inequality violations within 3 standard errors."""
+    mean_eta = fields["mean_eta"]
+    diagnostics = fields["diagnostics"]
     mean_eta2 = res.value
     se_me2 = _floored(res.std_error, mean_eta2)
     diagnostics["eta2"] = res.diagnostics
@@ -260,12 +270,37 @@ def channel_stats(params: ChannelParams, budget: StatsBudget | None = None,
         mean_eta2 = hi
     if clamped:
         diagnostics["clamped"] = clamped
+    return BeamStats(mean_eta2=mean_eta2, se_mean_eta2=se_me2, **fields)
 
-    return BeamStats(
-        mean_eta=mean_eta, mean_eta2=mean_eta2,
-        sigma_bw2=sbw2, wst2=wst2,
-        se_mean_eta=se_me, se_mean_eta2=se_me2, se_sigma_bw2=se_sbw,
-        diagnostics=diagnostics)
+
+def channel_stats_many(channels, budget: StatsBudget | None = None,
+                       seed: int = 0) -> list:
+    """channel_stats for several channels with one shared covariance pass.
+
+    Every channel's quadratures and width check run first, so a bad channel
+    fails before any sampling; the flux covariances then come from one
+    :func:`aperture_cov_qmc_many` call, which needs a common w0 and aperture
+    radius. Each result equals the one-channel call bit for bit.
+    """
+    budget = budget or StatsBudget()
+    channels = list(channels)
+    fields = [_quadrature_stats(c) for c in channels]
+    covs = aperture_cov_qmc_many(channels, budget.eta2_log2_points,
+                                 budget.eta2_replicates, seed)
+    return [_beam_stats(f, _eta2_result(f["mean_eta"], cov))
+            for f, cov in zip(fields, covs)]
+
+
+def channel_stats(params: ChannelParams, budget: StatsBudget | None = None,
+                  seed: int = 0) -> BeamStats:
+    """All four channel statistics with standard errors and diagnostics.
+
+    The moment inequalities mean_eta^2 <= mean_eta2 <= mean_eta can be broken
+    by sampling noise; violations within 3 standard errors are clamped to the
+    nearest boundary and recorded in diagnostics["clamped"], larger ones raise
+    StatsInvariantViolation. A non-positive short-term width also raises.
+    """
+    return channel_stats_many([params], budget, seed)[0]
 
 
 def sigma_bw2_geometric(params: ChannelParams) -> float:

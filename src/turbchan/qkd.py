@@ -94,6 +94,10 @@ def gain(eta, mu, p):
     return float(out) if np.ndim(eta) == 0 else out
 
 
+def _qber_of_gain(q, p):
+    return (0.5 * p.y0 + p.e_det * (np.asarray(q) - p.y0)) / q
+
+
 def qber(eta, mu, p):
     """Quantum bit error rate of a pulse of mean photon number mu.
 
@@ -101,8 +105,26 @@ def qber(eta, mu, p):
     the misalignment rate, so E = (y0/2 + e_det (Q - y0)) / Q, which sits
     in (0, 0.5].
     """
-    q = gain(eta, mu, p)
-    return (0.5 * p.y0 + p.e_det * (np.asarray(q) - p.y0)) / q
+    return _qber_of_gain(gain(eta, mu, p), p)
+
+
+def _one_photon_terms(eta, p):
+    """Signal gain and the raw (unclamped) one-photon gain bound."""
+    if p.mu_s >= p.mu_d:
+        raise DecoyOrderingViolation("need mu_s < mu_d, got mu_s=%g mu_d=%g"
+                                     % (p.mu_s, p.mu_d))
+    mu_s, mu_d = p.mu_s, p.mu_d
+    qs = gain(eta, mu_s, p)
+    qd = gain(eta, mu_d, p)
+    pref = mu_s ** 2 * math.exp(-mu_s) / (mu_s * mu_d - mu_d ** 2)
+    raw = pref * (np.asarray(qd) * math.exp(mu_d)
+                  - np.asarray(qs) * math.exp(mu_s) * mu_d ** 2 / mu_s ** 2
+                  - (mu_s ** 2 - mu_d ** 2) / mu_s ** 2 * p.y0)
+    return qs, raw
+
+
+def _clamp_q1(q1_raw, qs):
+    return np.minimum(np.maximum(q1_raw, 0.0), qs)
 
 
 def one_photon_gain_lower(eta, p, clamp=True):
@@ -118,19 +140,17 @@ def one_photon_gain_lower(eta, p, clamp=True):
         If mu_s >= mu_d (enforced by DecoyParams, re-checked here for
         callers constructing parameters manually).
     """
-    if p.mu_s >= p.mu_d:
-        raise DecoyOrderingViolation("need mu_s < mu_d, got mu_s=%g mu_d=%g"
-                                     % (p.mu_s, p.mu_d))
-    mu_s, mu_d = p.mu_s, p.mu_d
-    qs = gain(eta, mu_s, p)
-    qd = gain(eta, mu_d, p)
-    pref = mu_s ** 2 * math.exp(-mu_s) / (mu_s * mu_d - mu_d ** 2)
-    raw = pref * (np.asarray(qd) * math.exp(mu_d)
-                  - np.asarray(qs) * math.exp(mu_s) * mu_d ** 2 / mu_s ** 2
-                  - (mu_s ** 2 - mu_d ** 2) / mu_s ** 2 * p.y0)
+    qs, raw = _one_photon_terms(eta, p)
     if clamp:
-        raw = np.minimum(np.maximum(raw, 0.0), qs)
+        raw = _clamp_q1(raw, qs)
     return float(raw) if np.ndim(eta) == 0 else raw
+
+
+def _key_fraction(q1, qs, p):
+    """Raw secure fraction from the (clamped) one-photon bound and Q_signal."""
+    h_es = binary_entropy(_qber_of_gain(qs, p))
+    return 0.5 * (np.asarray(q1) * (1.0 - h_es)
+                  - np.asarray(qs) * p.f_ec * h_es)
 
 
 def key_rate_integrand(eta, p, clamp=True):
@@ -142,11 +162,8 @@ def key_rate_integrand(eta, p, clamp=True):
     signal QBER.  Negative raw values mean no key and are clamped to zero
     unless clamp=False (sensitivity analysis).
     """
-    q1 = one_photon_gain_lower(eta, p)
-    qs = gain(eta, p.mu_s, p)
-    h_es = binary_entropy(qber(eta, p.mu_s, p))
-    raw = 0.5 * (np.asarray(q1) * (1.0 - h_es)
-                 - np.asarray(qs) * p.f_ec * h_es)
+    qs, q1_raw = _one_photon_terms(eta, p)
+    raw = _key_fraction(_clamp_q1(q1_raw, qs), qs, p)
     if clamp:
         raw = np.maximum(raw, 0.0)
     return float(raw) if np.ndim(eta) == 0 else raw
@@ -201,12 +218,14 @@ def averaged_key_rate(pdt, p, sample_count=DEFAULT_SAMPLES, seed=0,
         if samples.ndim != 1 or samples.size < 1:
             raise DomainError("transmittance samples must be a non-empty "
                               "1-D array")
-    vals = key_rate_integrand(samples, p, clamp=clamp_each)
+    # The raw bound and raw integrand are computed once; the averaged
+    # values and the clamp diagnostics both derive from them.
+    qs, q1_raw = _one_photon_terms(samples, p)
+    raw = _key_fraction(_clamp_q1(q1_raw, qs), qs, p)
+    vals = np.maximum(raw, 0.0) if clamp_each else raw
     n = samples.size
     se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     mean_raw = float(np.mean(vals))
-    q1_raw = one_photon_gain_lower(samples, p, clamp=False)
-    raw = key_rate_integrand(samples, p, clamp=False)
     diag = {
         "samples": n,
         "raw_mean": mean_raw,

@@ -6,8 +6,9 @@ import os
 import pytest
 
 from turbchan import (ChannelParams, StatsBudget, cached_channel_stats,
-                      channel_stats, default_cache_dir, stats_cache_get,
-                      stats_cache_put, stats_key)
+                      cached_channel_stats_many, channel_stats,
+                      default_cache_dir, stats_cache_get, stats_cache_put,
+                      stats_key)
 
 BUDGET = StatsBudget.from_log2_total(10)
 
@@ -104,6 +105,19 @@ def test_read_through_wrapper(tmp_path, chan):
     # A different seed is a different entry.
     _, hit3 = cached_channel_stats(chan, BUDGET, seed=1, cache_dir=tmp_path)
     assert hit3 is False
+
+
+def test_batched_wrapper_computes_only_misses(tmp_path, chan):
+    chans = [chan.replace(length=L) for L in (1000.0, 2000.0, 3000.0)]
+    cached_channel_stats(chans[1], BUDGET, seed=0, cache_dir=tmp_path)
+    got = cached_channel_stats_many(chans, BUDGET, seed=0, cache_dir=tmp_path)
+    assert [hit for _, hit in got] == [False, True, False]
+    for c, (stats, _) in zip(chans, got):
+        assert_stats_equal(stats, channel_stats(c, BUDGET, seed=0))
+    assert len(list(tmp_path.iterdir())) == 3
+    again = cached_channel_stats_many(chans, BUDGET, seed=0,
+                                      cache_dir=tmp_path)
+    assert [hit for _, hit in again] == [True, True, True]
 
 
 def test_disabled_cache_never_touches_disk(tmp_path, chan):

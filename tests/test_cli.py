@@ -230,6 +230,25 @@ def test_sweep_workers_cache_counts(tmp_path):
     assert counts == [(0, len(lengths)), (len(lengths), 0)]
 
 
+def test_sweep_from_partly_filled_cache(tmp_path):
+    # The batched lookup computes only the missing lengths; the CSV does not
+    # depend on which lengths were cached.
+    cfg = turb_cfg(tmp_path, "sweep",
+                   extra=["sweep.lengths = 1 km, 2 km, 3 km"])
+    part = turb_cfg(tmp_path, "sweep", extra=["sweep.lengths = 2 km"],
+                    name="part.cfg")
+    cache = str(tmp_path / "cache")
+    rc0, _ = run(["sweep", part, "--cache-dir", cache], tmp_path, "o0")
+    rc1, out1 = run(["sweep", cfg, "--cache-dir", cache], tmp_path, "o1")
+    rc2, out2 = run(["sweep", cfg, "--cache-dir", str(tmp_path / "empty")],
+                    tmp_path, "o2")
+    assert rc0 == rc1 == rc2 == 0
+    man = json.loads((out1 / "t1_sweep_manifest.json").read_text())
+    assert (man["cache"]["hits"], man["cache"]["misses"]) == (1, 2)
+    assert ((out1 / "t1_sweep.csv").read_bytes()
+            == (out2 / "t1_sweep.csv").read_bytes())
+
+
 def test_manifest_shape(tmp_path):
     cfg = turb_cfg(tmp_path, "stats")
     rc, out = run(["stats", cfg, "--no-cache"], tmp_path, "o1")

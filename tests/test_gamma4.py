@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 from turbchan import gamma2, gamma4
-from turbchan.kernels import aperture_cov_qmc
+from turbchan.kernels import aperture_cov_qmc, aperture_cov_qmc_many
 from turbchan.kernels.structure_function import GL_NODES, GL_WEIGHTS
 
 from conftest import make_channel
@@ -68,3 +68,25 @@ def test_segment_rule_shift_is_below_noise(monkeypatch):
     assert short.diagnostics["gl_nodes"] == 8
     assert full.diagnostics["gl_nodes"] == 32
     assert abs(short.value - full.value) < 0.1 * full.std_error
+
+
+def test_shared_pass_matches_single_channel_calls():
+    # One pass over the shared points for several lengths and vacuum gives
+    # each channel exactly its one-channel result.
+    chans = [make_channel(4e-14, L) for L in (1000.0, 4000.0, 16000.0)] + [VAC]
+    batch = aperture_cov_qmc_many(chans, log2_points=12, replicates=16)
+    assert len(batch) == len(chans)
+    for chan, got in zip(chans, batch):
+        one = aperture_cov_qmc(chan, log2_points=12, replicates=16)
+        assert got.value == one.value
+        assert got.std_error == one.std_error
+        assert got.diagnostics == one.diagnostics
+    assert batch[-1].diagnostics["vacuum_closed_form"]
+
+
+def test_shared_pass_needs_common_geometry():
+    with pytest.raises(ValueError):
+        aperture_cov_qmc_many([C1, make_channel(4e-14, 1000.0, w0=0.03)])
+    with pytest.raises(ValueError):
+        aperture_cov_qmc_many([C1, make_channel(4e-14, 2000.0,
+                                                aperture_radius=0.05)])
