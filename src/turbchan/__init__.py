@@ -4,8 +4,9 @@ __version__ = "0.1.0"
 
 from .channel import ChannelParams, rytov_parameter
 from .kernels import (BeamStats, StatsBudget, channel_stats,
-                      channel_stats_many, eta2_qmc, gamma2, gamma2_metadata,
-                      gamma4, phase_structure_function)
+                      channel_stats_many, eta2_qmc, phase_structure_function)
+from .kernels.gamma2 import gamma2
+from .kernels.gamma4 import gamma4
 from .pdt import (CompositeMoments, CompositePdt, TruncLogNormal,
                   WeibullParams, composite_expectation, composite_moments,
                   composite_mu, composite_pdt_build, composite_pdt_density,
@@ -29,8 +30,7 @@ __all__ = [
     "__version__",
     "ChannelParams", "rytov_parameter",
     "BeamStats", "StatsBudget", "channel_stats", "channel_stats_many",
-    "phase_structure_function", "gamma2", "gamma2_metadata",
-    "gamma4", "eta2_qmc",
+    "phase_structure_function", "gamma2", "gamma4", "eta2_qmc",
     "WeibullParams", "weibull_params", "weibull_pdt_density",
     "TruncLogNormal", "trunc_lognormal_from_moments",
     "trunc_lognormal_density", "trunc_lognormal_sample",

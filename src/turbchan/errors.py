@@ -31,7 +31,7 @@ class ConfigError(TurbchanError):
 
 
 class QuadratureNotConverged(TurbchanError):
-    """A quadrature error estimate exceeded tolerance at the maximum budget."""
+    """A quadrature cannot meet its tolerance within its budget."""
 
 
 class StatsInvariantViolation(TurbchanError):

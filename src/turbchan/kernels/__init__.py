@@ -1,8 +1,13 @@
-"""Correlation-function kernels and channel statistics."""
+"""Correlation-function kernels and channel statistics.
+
+The pointwise correlations ``gamma2`` and ``gamma4`` are not re-exported
+here, so ``turbchan.kernels.gamma2`` and ``turbchan.kernels.gamma4`` stay
+the modules; the package exports the functions as ``turbchan.gamma2`` and
+``turbchan.gamma4``.
+"""
 
 from .structure_function import phase_structure_function
-from .gamma2 import gamma2, gamma2_metadata
-from .gamma4 import QmcResult, aperture_cov_qmc, aperture_cov_qmc_many, gamma4
+from .gamma4 import QmcResult, aperture_cov_qmc, aperture_cov_qmc_many
 from .stats import (BeamStats, StatsBudget, channel_stats, channel_stats_many,
                     eta2_qmc)
 
@@ -11,8 +16,7 @@ from .stats import (BeamStats, StatsBudget, channel_stats, channel_stats_many,
 KERNEL_VERSION = "4"
 
 __all__ = [
-    "phase_structure_function", "gamma2", "gamma2_metadata",
-    "gamma4", "aperture_cov_qmc", "aperture_cov_qmc_many", "eta2_qmc",
-    "QmcResult", "BeamStats", "StatsBudget", "channel_stats",
+    "phase_structure_function", "aperture_cov_qmc", "aperture_cov_qmc_many",
+    "eta2_qmc", "QmcResult", "BeamStats", "StatsBudget", "channel_stats",
     "channel_stats_many", "KERNEL_VERSION",
 ]

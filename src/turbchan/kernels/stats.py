@@ -37,7 +37,7 @@ from scipy import integrate, optimize, special
 
 from ..channel import ChannelParams
 from ..errors import QuadratureNotConverged, StatsInvariantViolation
-from .gamma2 import envelope_exponent
+from .gamma2 import envelope_exponent, support_radius
 from .gamma4 import (DEFAULT_LOG2_POINTS, DEFAULT_REPLICATES, QmcResult,
                      aperture_cov_qmc, aperture_cov_qmc_many)
 
@@ -113,11 +113,6 @@ def _radial_quad(f, hi, **kw):
     return val, err
 
 
-def _support_radius(params: ChannelParams) -> float:
-    # g decays at least as fast as the Gaussian envelope.
-    return 14.0 * params.w0
-
-
 def enclosed_mass(radius: float, params: ChannelParams) -> tuple[float, float]:
     """Beam mass inside the given receiver radius, with quadrature error."""
     c = params.k * radius / params.length
@@ -126,7 +121,7 @@ def enclosed_mass(radius: float, params: ChannelParams) -> tuple[float, float]:
     def f(rho):
         return math.exp(exponent(rho)) * special.j1(c * rho)
 
-    val, err = _radial_quad(f, _support_radius(params))
+    val, err = _radial_quad(f, support_radius(params))
     return c * val, c * err
 
 
@@ -165,7 +160,7 @@ def x2_moment(radius: float, params: ChannelParams) -> tuple[float, float]:
         return math.exp(exponent(rho)) * special.jv(2, c * rho) / rho
 
     mass, mass_err = enclosed_mass(radius, params)
-    tail, tail_err = _radial_quad(f, _support_radius(params))
+    tail, tail_err = _radial_quad(f, support_radius(params))
     val = 0.5 * radius ** 2 * mass - radius ** 2 * tail
     err = 0.5 * radius ** 2 * mass_err + radius ** 2 * tail_err
     return val, err

@@ -3,10 +3,11 @@
 Everything here is evaluated straight from the defining formulas with adaptive
 quadrature (mpmath / scipy QUADPACK) or arbitrary-precision special functions.
 No code is shared with the turbchan package: turbchan uses fixed-node rules
-(Gauss-Legendre panels, Gauss-Hermite tensors, scrambled Sobol), while this
-file uses adaptive integrators and, where it matters, mpmath arbitrary
-precision. Tests compare package output against values produced here, either
-as frozen literals or by calling the brute-force functions directly.
+(Gauss-Legendre panels and rules, Gauss-Hermite in log space, scrambled
+Sobol), while this file uses adaptive integrators and, where it matters,
+mpmath arbitrary precision. Tests compare package output against values
+produced here, either as frozen literals or by calling the brute-force
+functions directly.
 
 Run as a script to print the frozen-anchor table:
 

@@ -23,6 +23,7 @@ if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
 import layers  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_hooks_run_cleanly(tmp_path):
@@ -58,3 +59,12 @@ def test_tracer_hooks_run_cleanly(tmp_path):
     assert "cov_rel_se@1000" in tl["kernels.stats.channel_stats"].counts
     # remove() restores the originals everywhere.
     assert not hasattr(cli.composite_pdt_density, "__wrapped__")
+
+
+def test_correlation_pass_meets_its_checks():
+    # One correlation-maps pass against the benchmark's oracle and
+    # closed-form checks, so a kernel change that breaks them fails here.
+    channels = workloads.corr_channels()
+    done, values = workloads.correlation_pass(0, channels)
+    assert done.failed == 0
+    assert workloads.correlation_checks(channels, values) == []

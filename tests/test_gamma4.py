@@ -1,11 +1,14 @@
 """Fourth-order correlation estimator: exact limits and invariances."""
 
-import importlib
+import math
+import types
 
 import pytest
 
+import turbchan
 from turbchan import gamma2, gamma4
 from turbchan.kernels import aperture_cov_qmc, aperture_cov_qmc_many
+from turbchan.kernels import gamma4 as gamma4_module
 from turbchan.kernels.structure_function import GL_NODES, GL_WEIGHTS
 
 from conftest import make_channel
@@ -46,6 +49,22 @@ def test_seeded_determinism():
     assert c.value != a.value
 
 
+def test_long_channel_is_finite():
+    # At 4 km both mean-intensity factors converge, so Gamma4 has a value.
+    g = gamma4((0.0, 0.0), (0.01, 0.0), make_channel(4e-14, 4000.0), **FAST)
+    assert math.isfinite(g.value) and math.isfinite(g.std_error)
+    assert g.value > 0.0
+
+
+def test_kernel_modules_are_not_shadowed():
+    # The package exports the functions; the kernels package keeps the
+    # submodules under their own names.
+    assert isinstance(turbchan.kernels.gamma4, types.ModuleType)
+    assert isinstance(turbchan.kernels.gamma2, types.ModuleType)
+    assert callable(turbchan.gamma4) and callable(turbchan.gamma2)
+    assert turbchan.gamma4 is gamma4_module.gamma4
+
+
 def test_diagnostics_shape():
     g = gamma4((0.0, 0.0), (0.01, 0.0), C1, **FAST)
     d = g.diagnostics
@@ -61,9 +80,7 @@ def test_segment_rule_shift_is_below_noise(monkeypatch):
     # by far less than its standard error.
     chan = make_channel(4e-14, 4000.0)
     short = aperture_cov_qmc(chan, log2_points=12, replicates=16)
-    # The package re-exports the gamma4 function under the module's name.
-    module = importlib.import_module("turbchan.kernels.gamma4")
-    monkeypatch.setattr(module, "SEGMENT_RULE", (GL_NODES, GL_WEIGHTS))
+    monkeypatch.setattr(gamma4_module, "SEGMENT_RULE", (GL_NODES, GL_WEIGHTS))
     full = aperture_cov_qmc(chan, log2_points=12, replicates=16)
     assert short.diagnostics["gl_nodes"] == 8
     assert full.diagnostics["gl_nodes"] == 32
