@@ -30,8 +30,8 @@ from .pdt import (composite_pdt_build, composite_pdt_density,
                   composite_pdt_sample, trunc_lognormal_density,
                   trunc_lognormal_from_moments, trunc_lognormal_sample)
 from .qkd import averaged_key_rate, mean_loss_db, relative_improvement
-from .tracking import (postselected_moments, tracked_exceedance, tracked_pdt,
-                       tracking_from_fraction, transmitted_squeezing_db)
+from .tracking import (attenuated_squeezing_db, postselected_moments,
+                       tracked_exceedance, tracked_pdt, tracking_from_fraction)
 
 EXIT_OK = 0
 EXIT_GENERIC = 1
@@ -58,7 +58,7 @@ def _derived_seeds(seed: int) -> dict:
     Sweep points reuse the same offsets; common random numbers across
     points smooth the sweep curve without linking the estimates.
     """
-    return {"stats": seed, "pdt_build": seed + 1, "qkd_samples": seed + 2}
+    return {"stats": seed, "qkd_samples": seed + 2}
 
 
 def _fmt(value) -> str:
@@ -92,12 +92,10 @@ def _stats(scenario: Scenario, channel, args, seeds):
     return _stats_many(scenario, [channel], args, seeds)[0]
 
 
-def _fallback_pdt(st, scenario: Scenario, seeds):
+def _fallback_pdt(st, scenario: Scenario):
     """Composite PDT when its fit window allows, log-normal otherwise."""
     try:
-        c = composite_pdt_build(st, scenario.channel.aperture_radius,
-                                scenario.pdt_sample_count,
-                                seeds["pdt_build"])
+        c = composite_pdt_build(st, scenario.channel.aperture_radius)
         return c, "composite"
     except DomainError:
         tln = trunc_lognormal_from_moments(st.mean_eta, st.mean_eta2)
@@ -120,7 +118,7 @@ def _table_stats(scenario, args, seeds, diag):
 def _table_pdt(scenario, args, seeds, diag):
     st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
-    pdt_obj, family = _fallback_pdt(st, scenario, seeds)
+    pdt_obj, family = _fallback_pdt(st, scenario)
     diag["pdt_family"] = family
     grid = _eta_grid(scenario.eta_step)
     if family == "composite":
@@ -136,8 +134,7 @@ def _table_pdt(scenario, args, seeds, diag):
 def _table_exceedance(scenario, args, seeds, diag):
     st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
-    c = composite_pdt_build(st, scenario.channel.aperture_radius,
-                            scenario.pdt_sample_count, seeds["pdt_build"])
+    c = composite_pdt_build(st, scenario.channel.aperture_radius)
     grid = _eta_grid(scenario.eta_step)
     header = ["scenario_id", "seed", "fraction", "eta", "density",
               "exceedance"]
@@ -156,8 +153,7 @@ def _table_exceedance(scenario, args, seeds, diag):
 def _table_squeezing(scenario, args, seeds, diag):
     st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
-    c = composite_pdt_build(st, scenario.channel.aperture_radius,
-                            scenario.pdt_sample_count, seeds["pdt_build"])
+    c = composite_pdt_build(st, scenario.channel.aperture_radius)
     header = ["scenario_id", "seed", "fraction", "eta_min", "acceptance",
               "mean_eta_ps", "squeezing_db"]
     rows = []
@@ -166,8 +162,7 @@ def _table_squeezing(scenario, args, seeds, diag):
         tc = tracked_pdt(c, t)
         for eta_min in scenario.postselection_eta_min:
             m1, _, acc = postselected_moments(tc, None, eta_min)
-            sq = transmitted_squeezing_db(scenario.squeezing_input_db, tc,
-                                          None, eta_min)
+            sq = attenuated_squeezing_db(scenario.squeezing_input_db, m1)
             rows.append([scenario.scenario_id, scenario.seed, float(f),
                          float(eta_min), acc, m1, sq])
     return header, rows, [hit]
@@ -187,7 +182,7 @@ def _qkd_point(scenario, channel, st, seeds):
     ext = channel.extinction_eta
     n = scenario.pdt_sample_count
     try:
-        pdt_obj, family = _fallback_pdt(st, scenario, seeds)
+        pdt_obj, family = _fallback_pdt(st, scenario)
     except DegenerateDistribution:
         pdt_obj, family = None, "degenerate"
     if family == "composite":

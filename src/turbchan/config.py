@@ -34,8 +34,10 @@ class Scenario:
     """One validated scenario file, ready to run.
 
     tracking_fractions are sigma_tr / sigma_bw ratios; sweep_lengths are
-    propagation distances in metres for the `sweep` output. Optional
-    stages keep their library defaults when the config omits them.
+    propagation distances in metres for the `sweep` output;
+    pdt_sample_count is the number of transmittance draws behind each key
+    rate. Optional stages keep their library defaults when the config
+    omits them.
     """
 
     scenario_id: str

@@ -55,10 +55,9 @@ class StatsBudget:
     """Point budgets for the quadrature and QMC stages."""
     eta2_log2_points: int = DEFAULT_LOG2_POINTS
     eta2_replicates: int = DEFAULT_REPLICATES
-    gh_nodes: int = 96
 
     def __post_init__(self):
-        if self.eta2_log2_points < 4 or self.eta2_replicates < 2 or self.gh_nodes < 16:
+        if self.eta2_log2_points < 4 or self.eta2_replicates < 2:
             raise ValueError("budget too small")
 
     @classmethod
@@ -149,8 +148,9 @@ def mass_cut_radius(params: ChannelParams, fraction: float = MASS_FRACTION,
         xtol=1e-12, rtol=1e-12)
 
 
-def x2_moment(radius: float, params: ChannelParams) -> tuple[float, float]:
-    """Int x^2 Gamma_2 over the centered disk of the given radius."""
+def x2_moment(radius: float, params: ChannelParams,
+              mass: float) -> tuple[float, float]:
+    """Int x^2 Gamma_2 over the centered disk of radius and enclosed mass."""
     c = params.k * radius / params.length
     exponent = envelope_exponent(params)
 
@@ -159,11 +159,8 @@ def x2_moment(radius: float, params: ChannelParams) -> tuple[float, float]:
             return 0.0
         return math.exp(exponent(rho)) * special.jv(2, c * rho) / rho
 
-    mass, mass_err = enclosed_mass(radius, params)
     tail, tail_err = _radial_quad(f, support_radius(params))
-    val = 0.5 * radius ** 2 * mass - radius ** 2 * tail
-    err = 0.5 * radius ** 2 * mass_err + radius ** 2 * tail_err
-    return val, err
+    return 0.5 * radius ** 2 * mass - radius ** 2 * tail, radius ** 2 * tail_err
 
 
 def sigma_bw2_quad(params: ChannelParams) -> tuple[float, float]:
@@ -220,11 +217,11 @@ def _quadrature_stats(params: ChannelParams) -> dict:
     mean_eta = min(mean_eta, 1.0)
     sbw2, sbw_err = sigma_bw2_quad(params)
     rcut = mass_cut_radius(params, MASS_FRACTION)
-    x2, x2_err = x2_moment(rcut, params)
+    x2, x2_err = x2_moment(rcut, params, MASS_FRACTION)
     wst2 = 4.0 * (x2 - sbw2)
     # The 99.9% radius encloses more than 99%, so it closes the bracket.
     rcut99 = mass_cut_radius(params, 0.99, hi=rcut)
-    x2_99, _ = x2_moment(rcut99, params)
+    x2_99, _ = x2_moment(rcut99, params, 0.99)
     if wst2 <= 0.0:
         raise StatsInvariantViolation(
             "short-term width squared is non-positive (%.3g)" % wst2)

@@ -2,7 +2,7 @@
 
 A tracking system removes part of the centroid wandering variance; the
 residual wandering reshapes the composite transmittance mixture while the
-conditional law at fixed displacement stays untouched.  This module rebuilds
+conditional law at fixed displacement stays untouched.  This module rescales
 tracked mixtures, evaluates exceedance probabilities, and computes moments
 conditioned on a postselection threshold, including the transmitted
 squeezing of a squeezed-vacuum input.
@@ -18,7 +18,7 @@ from scipy import special
 
 from .errors import (DegenerateDistribution, DomainError, EmptyPostselection,
                      InvalidTracking)
-from .pdt import COMPONENT_CHUNK, composite_mu
+from .pdt import XI_CUTOFF, _component_sum, _displacement_average, composite_mu
 
 MIN_ACCEPTANCE = 1e-6
 
@@ -81,11 +81,11 @@ def _check_match(c, t):
 def tracked_pdt(c, t):
     """Composite mixture after tracking.
 
-    Only the displacement distribution changes: the radii are redrawn
-    Rayleigh(sqrt(delta2)) from the composite's own seed, so fraction zero
-    reproduces the input radii bit for bit, while (eta0_norm, zeta0_sq,
-    r_scale, shape_lambda, sigma_r0) stay fixed.  Perfect tracking collapses
-    the mixture onto the single zero-displacement component.
+    Only the displacement distribution changes: the node radii sigma_bw xi_k
+    become sqrt(delta2) xi_k on the Rayleigh rule, whose node count follows
+    the narrower wandering, while (eta0_norm, zeta0_sq, r_scale,
+    shape_lambda, sigma_r0) stay fixed.  Perfect tracking collapses the
+    mixture onto the single zero-displacement component.
 
     Raises
     ------
@@ -100,24 +100,26 @@ def tracked_pdt(c, t):
         raise DegenerateDistribution(
             "perfect tracking of a zero-width mixture leaves a point mass "
             "at %g" % c.eta0_norm)
-    u = np.random.default_rng(c.seed).random(c.sample_count)
-    radii = math.sqrt(delta2) * np.sqrt(-2.0 * np.log1p(-u))
-    return replace(c, sigma_bw2=delta2, radii=radii)
+    return replace(c, sigma_bw2=delta2)
 
 
-def _resolve(c, t):
-    if t is None:
-        return c
-    return tracked_pdt(c, t)
+def _cut_xi(c, eta):
+    # r* / sigma_bw with r* = r_scale ln(eta0_norm / eta)**(1/lam): with zero
+    # conditional width the transmittance exceeds eta > 0 iff r0 < r*.
+    log_ratio = np.maximum(np.log(c.eta0_norm / eta), 0.0)
+    return (c.weibull.r_scale * log_ratio ** (1.0 / c.weibull.shape_lambda)
+            / math.sqrt(c.sigma_bw2))
 
 
 def tracked_exceedance(eta, c, t=None):
     """Probability that the tracked transmittance exceeds eta.
 
-    Averages the per-component exceedance of the truncated log-normal
-    conditionals over the tracked displacement radii; this is the exact
-    complement of the integrated mixture density, so it is non-increasing
-    in eta with value 1 at eta = 0 and 0 at eta = 1.
+    Sums the per-node exceedance of the truncated log-normal conditionals
+    over the Rayleigh rule; this is the exact complement of the integrated
+    mixture density, so it is non-increasing in eta with value 1 at
+    eta = 0 and 0 at eta = 1.  With zero conditional width it is the
+    Rayleigh probability of a displacement below the cut radius r*, in
+    closed form.
 
     Parameters
     ----------
@@ -131,27 +133,17 @@ def tracked_exceedance(eta, c, t=None):
     -------
     float or ndarray
     """
-    ct = _resolve(c, t)
+    ct = c if t is None else tracked_pdt(c, t)
     eta_arr = np.atleast_1d(np.asarray(eta, dtype=float))
     out = np.zeros_like(eta_arr)
     out[eta_arr <= 0.0] = 1.0
     inside = (eta_arr > 0.0) & (eta_arr < 1.0)
     if inside.any():
         e = eta_arr[inside]
-        mu = composite_mu(ct, ct.radii)
         if ct.sigma_r0 == 0.0:
-            vals = np.exp(-mu)
-            # Point-mass components: count those strictly above threshold.
-            out[inside] = (vals[:, None] > e[None, :]).mean(axis=0)
+            out[inside] = -np.expm1(-0.5 * _cut_xi(ct, e) ** 2)
         else:
-            x = np.log(e)
-            acc = np.zeros(e.size)
-            for start in range(0, mu.size, COMPONENT_CHUNK):
-                m = mu[start:start + COMPONENT_CHUNK, None]
-                ratio = (special.ndtr((x[None, :] + m) / ct.sigma_r0)
-                         / special.ndtr(m / ct.sigma_r0))
-                acc += ratio.sum(axis=0)
-            out[inside] = 1.0 - acc / mu.size
+            out[inside] = 1.0 - _component_sum(ct, np.log(e), special.ndtr)
     return float(out[0]) if np.ndim(eta) == 0 else out
 
 
@@ -160,8 +152,10 @@ def postselected_moments(c, t, eta_min):
 
     Computes the first two moments of the tracked mixture restricted to
     eta > eta_min via closed-form partial moments of each truncated
-    log-normal component, together with the acceptance probability (the
-    exceedance at eta_min).
+    log-normal node, summed over the Rayleigh rule, together with the
+    acceptance probability (the exceedance at eta_min).  With zero
+    conditional width the partial moments are Rayleigh averages of the
+    attenuation law up to the cut radius, by adaptive quadrature.
 
     Parameters
     ----------
@@ -182,72 +176,53 @@ def postselected_moments(c, t, eta_min):
     if not 0.0 <= eta_min < 1.0:
         raise DomainError("postselection threshold must lie in [0, 1), "
                           "got %g" % eta_min)
-    ct = _resolve(c, t)
-    mu = composite_mu(ct, ct.radii)
-    if ct.sigma_r0 == 0.0:
-        vals = np.exp(-mu)
-        sel = vals > eta_min
-        acceptance = float(np.mean(sel))
-        if acceptance <= MIN_ACCEPTANCE:
-            raise EmptyPostselection("acceptance %.3g at threshold %g"
-                                     % (acceptance, eta_min))
-        kept = vals[sel]
-        return float(np.mean(kept)), float(np.mean(kept * kept)), acceptance
-    sig = ct.sigma_r0
-    f1 = special.ndtr(mu / sig)
-    if eta_min > 0.0:
-        ln_min = math.log(eta_min)
-        below = special.ndtr((ln_min + mu) / sig)
-    else:
-        below = np.zeros_like(mu)
-    acceptance = float(np.mean((f1 - below) / f1))
+    ct = c if t is None else tracked_pdt(c, t)
+    acceptance = tracked_exceedance(eta_min, ct)
     if acceptance <= MIN_ACCEPTANCE:
         raise EmptyPostselection("acceptance %.3g at threshold %g"
                                  % (acceptance, eta_min))
+    if ct.sigma_r0 == 0.0:
+        xi_max = (min(_cut_xi(ct, eta_min), XI_CUTOFF) if eta_min > 0.0
+                  else XI_CUTOFF)
+        return tuple(ct.eta0_norm ** n * _displacement_average(
+            n, math.sqrt(ct.sigma_bw2), ct.weibull, xi_max) / acceptance
+            for n in (1, 2)) + (acceptance,)
+    sig = ct.sigma_r0
+    mu = composite_mu(ct, ct.radii)
+    w = ct.weights / special.ndtr(mu / sig)
+    ln_min = math.log(eta_min) if eta_min > 0.0 else -math.inf
 
     def partial(n):
-        # E[eta^n; eta_min < eta <= 1] for the nontruncated component, then
-        # renormalized by f1 to match the truncated conditional law.
+        # E[eta^n; eta_min < eta <= 1] for the nontruncated component,
+        # renormalized by F(1) to match the truncated conditional law.
         shift = n * sig * sig
-        top = special.ndtr((mu - shift) / sig)
-        if eta_min > 0.0:
-            bot = special.ndtr((ln_min + mu - shift) / sig)
-        else:
-            bot = 0.0
-        weight = np.exp(-n * mu + 0.5 * n * n * sig * sig)
-        return float(np.mean(weight * (top - bot) / f1))
+        mass = (special.ndtr((mu - shift) / sig)
+                - special.ndtr((ln_min + mu - shift) / sig))
+        return float(w @ (np.exp(-n * mu + 0.5 * n * n * sig * sig) * mass))
 
-    mean_ps = partial(1) / acceptance
-    mean2_ps = partial(2) / acceptance
-    return mean_ps, mean2_ps, acceptance
+    return partial(1) / acceptance, partial(2) / acceptance, acceptance
+
+
+def attenuated_squeezing_db(v_in_db, mean_eta):
+    """Squeezed-vacuum variance in dB after a loss of mean transmittance.
+
+    A quadrature variance V_in (shot-noise units, v_in_db < 0) turns into
+    V_out = 1 + mean_eta (V_in - 1), between the input level and the shot
+    noise.
+    """
+    if v_in_db >= 0.0:
+        raise DomainError("input must be squeezed (negative dB), got %g"
+                          % v_in_db)
+    v_in = 10.0 ** (v_in_db / 10.0)
+    return 10.0 * math.log10(1.0 + mean_eta * (v_in - 1.0))
 
 
 def transmitted_squeezing_db(v_in_db, c, t, eta_min):
     """Detected squeezing after the fluctuating channel with postselection.
 
-    A squeezed-vacuum quadrature variance V_in (shot-noise units) turns into
-    V_out = 1 + <eta>_ps (V_in - 1) under fluctuating loss, where <eta>_ps
-    is the postselected mean transmittance; the output stays between the
-    input level and the shot noise.
-
-    Parameters
-    ----------
-    v_in_db : float
-        Input squeezing in dB, negative for a squeezed state.
-    c : CompositePdt
-    t : TrackingConfig or None
-    eta_min : float
-        Postselection threshold.
-
-    Returns
-    -------
-    float
-        Output variance in dB, in (v_in_db, 0).
+    attenuated_squeezing_db at the postselected mean transmittance
+    <eta>_ps of the tracked mixture (postselected_moments), in
+    (v_in_db, 0) dB.
     """
-    if v_in_db >= 0.0:
-        raise DomainError("input must be squeezed (negative dB), got %g"
-                          % v_in_db)
-    mean_ps, _, _ = postselected_moments(c, t, eta_min)
-    v_in = 10.0 ** (v_in_db / 10.0)
-    v_out = 1.0 + mean_ps * (v_in - 1.0)
-    return 10.0 * math.log10(v_out)
+    return attenuated_squeezing_db(
+        v_in_db, postselected_moments(c, t, eta_min)[0])

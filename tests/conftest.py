@@ -49,20 +49,17 @@ def stats3(chan3):
 
 @pytest.fixture(scope="session")
 def comp1(stats1):
-    return composite_pdt_build(stats1, GEOMETRY["aperture_radius"],
-                               sample_count=10_000, seed=0)
+    return composite_pdt_build(stats1, GEOMETRY["aperture_radius"])
 
 
 @pytest.fixture(scope="session")
 def comp2(stats2):
-    return composite_pdt_build(stats2, GEOMETRY["aperture_radius"],
-                               sample_count=10_000, seed=0)
+    return composite_pdt_build(stats2, GEOMETRY["aperture_radius"])
 
 
 @pytest.fixture(scope="session")
 def comp3(stats3):
-    return composite_pdt_build(stats3, GEOMETRY["aperture_radius"],
-                               sample_count=10_000, seed=0)
+    return composite_pdt_build(stats3, GEOMETRY["aperture_radius"])
 
 
 @pytest.fixture(scope="session")
@@ -84,4 +81,4 @@ def zero_width_comp():
                       mean_eta2=wp.eta0_max ** 2 * i2,
                       sigma_bw2=sigma_bw2, wst2=wst2, se_mean_eta=0.0,
                       se_mean_eta2=0.0, se_sigma_bw2=0.0, diagnostics={})
-    return composite_pdt_build(stats, a, sample_count=2000, seed=0)
+    return composite_pdt_build(stats, a)

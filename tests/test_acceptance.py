@@ -69,8 +69,7 @@ def test_criterion_2_vacuum_limit():
 def test_criterion_3_moment_closure(stats1, stats2, stats3):
     worst_z = 0.0
     for st in (stats1, stats2, stats3):
-        c = composite_pdt_build(st, GEOM["aperture_radius"],
-                                sample_count=100_000, seed=1)
+        c = composite_pdt_build(st, GEOM["aperture_radius"])
         m = composite_moments(c)
         z1 = (abs(m.mean_eta - st.mean_eta)
               / math.hypot(m.se_mean_eta, st.se_mean_eta))
@@ -114,7 +113,7 @@ def test_criterion_5_limiting_families():
     no_wander = BeamStats(mean_eta=0.5, mean_eta2=0.3, sigma_bw2=0.0,
                           wst2=0.0025, se_mean_eta=0.0, se_mean_eta2=0.0,
                           se_sigma_bw2=0.0, diagnostics={})
-    c = composite_pdt_build(no_wander, 0.04, 2000, seed=0)
+    c = composite_pdt_build(no_wander, 0.04)
     tln = trunc_lognormal_from_moments(0.5, 0.3)
     grid = np.linspace(1e-3, 1.0, 800)
     sup_tln = float(np.max(np.abs(composite_pdt_density(grid, c)
@@ -130,7 +129,7 @@ def test_criterion_5_limiting_families():
                            mean_eta2=wp.eta0_max ** 2 * i2,
                            sigma_bw2=sigma_bw2, wst2=0.0025, se_mean_eta=0.0,
                            se_mean_eta2=0.0, se_sigma_bw2=0.0, diagnostics={})
-    cz = composite_pdt_build(zero_width, 0.04, 2000, seed=0)
+    cz = composite_pdt_build(zero_width, 0.04)
     gz = np.linspace(1e-3, wp.eta0_max * 0.999, 800)
     sup_wb = float(np.max(np.abs(composite_pdt_density(gz, cz)
                                  - weibull_pdt_density(gz, wp, sigma_bw2))))

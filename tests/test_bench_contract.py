@@ -22,6 +22,7 @@ PERFBENCH = ROOT / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
+import checks  # noqa: E402
 import layers  # noqa: E402
 import workloads  # noqa: E402
 
@@ -68,3 +69,27 @@ def test_correlation_pass_meets_its_checks():
     done, values = workloads.correlation_pass(0, channels)
     assert done.failed == 0
     assert workloads.correlation_checks(channels, values) == []
+
+
+def test_warm_tables_meet_their_checks(tmp_path):
+    # The pdt, exceedance and squeezing tables of fig2_solid.cfg against
+    # the benchmark's own checks, so a change to the mixture that breaks
+    # them fails here rather than only in a benchmark run.
+    import oracles
+
+    scenario = ROOT / "scenarios" / "fig2_solid.cfg"
+    out = tmp_path / "out"
+    common = ["--budget", "10", "--cache-dir", str(tmp_path / "cache"),
+              "--out-dir", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for table in ("pdt", "exceedance", "squeezing"):
+            assert cli.main([table, str(scenario)] + common) == 0
+    sc = turbchan.load_scenario(scenario)
+
+    def rows(table):
+        return checks.read_csv(out / ("%s_%s.csv" % (sc.scenario_id, table)))
+
+    checks.check_pdt(rows("pdt"))
+    checks.check_exceedance(rows("exceedance"))
+    checks.check_squeezing(rows("squeezing"), sc.squeezing_input_db,
+                           oracles.squeezing_out_db)

@@ -181,7 +181,7 @@ def test_seed_override(tmp_path):
     man = json.loads((out2 / "t1_stats_manifest.json").read_text())
     assert man["cli_overrides"]["seed"] == 4
     assert man["scenario"]["seed"] == 4
-    assert man["seeds"] == {"stats": 4, "pdt_build": 5, "qkd_samples": 6}
+    assert man["seeds"] == {"stats": 4, "qkd_samples": 6}
 
 
 def test_budget_override(tmp_path):

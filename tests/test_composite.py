@@ -1,10 +1,11 @@
 """Composite transmittance distribution: closure, limits, persistence."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from turbchan import (composite_expectation, composite_moments,
                       composite_load, composite_mu, composite_pdt_build,
@@ -15,6 +16,7 @@ from turbchan import (composite_expectation, composite_moments,
 from turbchan.errors import (ApproximationBreakdown, DegenerateDistribution,
                              DomainError)
 from turbchan.kernels.stats import BeamStats
+from turbchan.pdt import XI_CUTOFF
 
 
 def synth_stats(mean_eta, mean_eta2, sigma_bw2, wst2):
@@ -34,8 +36,16 @@ def displacement_average(n, sigma_bw, wp):
 
 
 def test_build_structure(comp1, stats1):
-    assert comp1.radii.shape == (10_000,)
+    # The mixture lives on a Rayleigh rule: node radii sigma_bw xi_k with
+    # xi_k in [0, XI_CUTOFF] and weights summing to 1, both read-only.
+    n = comp1.node_count
+    assert comp1.radii.shape == comp1.weights.shape == (n,)
     assert not comp1.radii.flags.writeable
+    assert not comp1.weights.flags.writeable
+    assert np.all(np.diff(comp1.radii) > 0.0) and comp1.radii[0] > 0.0
+    assert comp1.radii[-1] < XI_CUTOFF * math.sqrt(stats1.sigma_bw2)
+    assert np.all(comp1.weights > 0.0)
+    assert float(np.sum(comp1.weights)) == pytest.approx(1.0, abs=1e-14)
     assert comp1.eta0_norm > stats1.mean_eta
     assert comp1.zeta0_sq >= comp1.eta0_norm ** 2
     assert comp1.sigma_r0 > 0.0
@@ -86,12 +96,16 @@ def test_sampler_matches_density(comp1):
 def test_sampling_deterministic(comp1, stats1):
     a = composite_pdt_sample(comp1, 500, seed=8)
     b = composite_pdt_sample(comp1, 500, seed=8)
+    c = composite_pdt_sample(comp1, 500, seed=9)
     assert np.array_equal(a, b)
-    c1 = composite_pdt_build(stats1, 0.04, 1000, seed=3)
-    c2 = composite_pdt_build(stats1, 0.04, 1000, seed=3)
-    c3 = composite_pdt_build(stats1, 0.04, 1000, seed=4)
+    assert not np.array_equal(a, c)
+    # The build draws nothing: two builds are the same mixture.
+    c1 = composite_pdt_build(stats1, 0.04)
+    c2 = composite_pdt_build(stats1, 0.04)
+    grid = np.linspace(0.0, 1.0, 101)
     assert np.array_equal(c1.radii, c2.radii)
-    assert not np.array_equal(c1.radii, c3.radii)
+    assert np.array_equal(composite_pdt_density(grid, c1),
+                          composite_pdt_density(grid, c2))
 
 
 def test_conditional_mean_formula(comp1):
@@ -107,7 +121,7 @@ def test_conditional_mean_formula(comp1):
 
 def test_limit_no_wandering_is_trunc_lognormal():
     stats = synth_stats(0.5, 0.3, 0.0, 0.0025)
-    c = composite_pdt_build(stats, 0.04, 2000, seed=0)
+    c = composite_pdt_build(stats, 0.04)
     p = trunc_lognormal_from_moments(0.5, 0.3)
     grid = np.linspace(1e-3, 1.0, 800)
     diff = composite_pdt_density(grid, c) - trunc_lognormal_density(grid, p)
@@ -129,7 +143,7 @@ def test_limit_no_conditional_spread_is_weibull_form():
     # make the conditional width vanish exactly, forcing the closed form.
     stats = synth_stats(wp.eta0_max * i1, wp.eta0_max ** 2 * i2, sigma_bw2,
                         wst2)
-    c = composite_pdt_build(stats, a, 2000, seed=0)
+    c = composite_pdt_build(stats, a)
     assert c.sigma_r0 == 0.0
     grid = np.linspace(1e-3, wp.eta0_max * 0.999, 800)
     diff = (composite_pdt_density(grid, c)
@@ -142,20 +156,20 @@ def test_breakdown_on_deficient_second_moment():
     # input moments are consistent; equality inputs signal a closure failure.
     stats = synth_stats(0.9, 0.81, 8.4e-05, 0.0025)
     with pytest.raises(ApproximationBreakdown):
-        composite_pdt_build(stats, 0.04, 100, seed=0)
+        composite_pdt_build(stats, 0.04)
 
 
 def test_ratio_guard_propagates():
     stats = synth_stats(0.5, 0.3, 8.4e-05, 0.25)
     with pytest.raises(DomainError):
-        composite_pdt_build(stats, 0.04, 100, seed=0)
+        composite_pdt_build(stats, 0.04)
 
 
 def test_degenerate_when_both_widths_vanish():
     wp = weibull_params(0.04, 0.05)
     stats = synth_stats(wp.eta0_max, wp.eta0_max ** 2, 0.0, 0.0025)
     with pytest.raises(DegenerateDistribution):
-        composite_pdt_build(stats, 0.04, 100, seed=0)
+        composite_pdt_build(stats, 0.04)
 
 
 def test_save_load_roundtrip(tmp_path, comp1):
@@ -167,10 +181,14 @@ def test_save_load_roundtrip(tmp_path, comp1):
     assert back.sigma_bw2 == comp1.sigma_bw2
     assert back.sigma_r0 == comp1.sigma_r0
     assert back.weibull == comp1.weibull
-    assert np.array_equal(back.radii, comp1.radii)
-    assert back.sample_count == comp1.sample_count
-    assert back.seed == comp1.seed
     assert back.aperture_radius == comp1.aperture_radius
+    # The rule is rebuilt from the stored shape, node for node.
+    assert back.node_count == comp1.node_count
+    assert np.array_equal(back.radii, comp1.radii)
+    assert np.array_equal(back.weights, comp1.weights)
+    grid = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(composite_pdt_density(grid, back),
+                          composite_pdt_density(grid, comp1))
 
 
 def test_load_rejects_wrong_header(tmp_path, comp1):
@@ -187,3 +205,94 @@ def test_load_rejects_wrong_header(tmp_path, comp1):
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError):
         composite_load(path)
+
+
+# --- the Rayleigh rule against finer rules and the sampled mixture -------
+
+FIG2_LENGTHS = (2000.0, 3000.0, 4000.0)
+FRACTIONS = (0.0, 0.25, 0.5, 1.0)
+
+
+@pytest.fixture(scope="module")
+def fig2_traffic(comp1):
+    # The composites the fig2 tables build: the 1 km headline and the
+    # other lengths of its sweep inside the Weibull window (s <= 0.36,
+    # lambda 2.0-2.8, sigma_r0 0.19-0.73).
+    from conftest import make_channel
+    from turbchan import channel_stats_many
+    from turbchan.kernels.stats import StatsBudget
+    stats = channel_stats_many([make_channel(4e-14, L) for L in FIG2_LENGTHS],
+                               StatsBudget.from_log2_total(12), seed=0)
+    return [comp1] + [composite_pdt_build(st, 0.04) for st in stats]
+
+
+def test_rule_converged_on_fig2_traffic(fig2_traffic, monkeypatch):
+    from turbchan import tracked_exceedance, tracked_pdt, tracking_from_fraction
+    from turbchan import pdt
+    grid = np.linspace(0.0, 1.0, 501)
+
+    def tables(c):
+        out = []
+        for f in FRACTIONS:
+            tc = tracked_pdt(c, tracking_from_fraction(c.sigma_bw2, f))
+            out.append((composite_pdt_density(grid, tc),
+                        tracked_exceedance(grid, tc)))
+        return np.array(out)
+
+    rule = [tables(c) for c in fig2_traffic]
+    node_count = pdt._node_count
+    monkeypatch.setattr(pdt, "_node_count", lambda *a: 4 * node_count(*a))
+    # dataclasses.replace makes fresh instances, which derive the count anew.
+    finer = [tables(dataclasses.replace(c)) for c in fig2_traffic]
+    for got, want in zip(rule, finer):
+        assert np.max(np.abs(got - want)) < 1e-6
+
+
+def sampled_mixture_density(eta, c, seed, count=10_000):
+    # The mixture as it was sampled before the rule: count Rayleigh radii
+    # drawn from seed, equal weights.
+    u = np.random.default_rng(seed).random(count)
+    radii = math.sqrt(c.sigma_bw2) * np.sqrt(-2.0 * np.log1p(-u))
+    mu = composite_mu(c, radii)
+    z = (np.log(eta)[None, :] + mu[:, None]) / c.sigma_r0
+    comp = np.exp(-0.5 * z * z) / special.ndtr(mu / c.sigma_r0)[:, None]
+    return comp.mean(axis=0) / (c.sigma_r0 * math.sqrt(2.0 * math.pi) * eta)
+
+
+def test_density_inside_sampled_mixture_spread(fig2_traffic):
+    # Every value lies within the spread of 8 sampled 10^4-radius mixtures,
+    # where the density exceeds 1e-4 of its peak: below that, 10^4 radii
+    # hold too few components to serve as a reference.
+    from turbchan import tracked_pdt, tracking_from_fraction
+    grid = np.linspace(0.004, 1.0, 250)
+    for c in fig2_traffic:
+        for f in (0.0, 0.5):
+            tc = tracked_pdt(c, tracking_from_fraction(c.sigma_bw2, f))
+            dens = composite_pdt_density(grid, tc)
+            sampled = np.array([sampled_mixture_density(grid, tc, seed)
+                                for seed in range(8)])
+            keep = dens > 1e-4 * dens.max()
+            assert np.all(dens[keep] >= sampled.min(axis=0)[keep])
+            assert np.all(dens[keep] <= sampled.max(axis=0)[keep])
+
+
+def test_rule_raises_past_its_cap(comp1):
+    # A narrow conditional law under wide wandering would need more than
+    # MAX_NODES nodes: the rule refuses instead of answering wrong.
+    from turbchan import tracked_exceedance
+    from turbchan.errors import QuadratureNotConverged
+    from turbchan.pdt import MAX_NODES, _node_count
+    narrow = dataclasses.replace(comp1, sigma_r0=1e-4)
+    with pytest.raises(QuadratureNotConverged):
+        composite_pdt_density(0.5, narrow)
+    with pytest.raises(QuadratureNotConverged):
+        tracked_exceedance(0.5, narrow)
+    # Sampling needs no rule and still answers.
+    assert composite_pdt_sample(narrow, 100, seed=1).size == 100
+    # The count follows the shape and stops at the cap.
+    s = math.sqrt(comp1.sigma_bw2) / comp1.weibull.r_scale
+    lam = comp1.weibull.shape_lambda
+    counts = [_node_count(s, lam, sig) for sig in (1.0, 0.19, 0.05, 0.01)]
+    assert counts == sorted(counts) and counts[-1] <= MAX_NODES
+    with pytest.raises(QuadratureNotConverged):
+        _node_count(1.0, lam, 0.01)

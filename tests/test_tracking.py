@@ -7,13 +7,13 @@ import pytest
 from scipy import integrate, special
 
 from oracles import squeezing_out_db
-from turbchan import (TrackingConfig, composite_mu, composite_pdt_density,
-                      postselected_moments, tracked_exceedance, tracked_pdt,
-                      tracking_from_fraction, transmitted_squeezing_db,
-                      trunc_lognormal_density)
+from turbchan import (TrackingConfig, composite_moments, composite_mu,
+                      composite_pdt_density, postselected_moments,
+                      tracked_exceedance, tracked_pdt, tracking_from_fraction,
+                      transmitted_squeezing_db, trunc_lognormal_density)
 from turbchan.errors import (DegenerateDistribution, DomainError,
                              EmptyPostselection, InvalidTracking)
-from turbchan.pdt import TruncLogNormal
+from turbchan.pdt import TruncLogNormal, _rayleigh_rule
 
 BW2 = 8.399e-05  # representative wandering variance for config-only tests
 
@@ -72,8 +72,11 @@ def test_tracked_fields(comp1, stats1):
     assert tp.weibull == comp1.weibull
     assert tp.sigma_r0 == comp1.sigma_r0
     assert tp.sigma_bw2 == t.delta2
-    # Residual radii shrink in distribution: same uniforms, smaller scale.
-    assert np.all(tp.radii <= comp1.radii)
+    # The radii are the nodes of the same Rayleigh rule at the residual
+    # scale; the narrower wandering needs no more nodes.
+    assert tp.node_count <= comp1.node_count
+    xi = _rayleigh_rule(tp.node_count)[0]
+    assert np.array_equal(tp.radii, math.sqrt(t.delta2) * xi)
 
 
 def test_perfect_tracking_is_single_lognormal(comp1, stats1):
@@ -122,12 +125,22 @@ def test_exceedance_monotone_in_tracking(comp1, stats1):
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_zero_width_exceedance_counts_points(zero_width_comp):
+def test_zero_width_exceedance_is_rayleigh_cdf(zero_width_comp):
+    # Point components: eta exceeds eta0 exactly when the displacement is
+    # below r* = r_scale ln(eta0_norm / eta0)^(1/lambda), a Rayleigh CDF.
     c = zero_width_comp
-    vals = c.eta0_norm * np.exp(
-        -(c.radii / c.weibull.r_scale) ** c.weibull.shape_lambda)
-    for eta0 in (0.3, 0.6, 0.7):
-        assert tracked_exceedance(eta0, c) == float(np.mean(vals > eta0))
+    wp = c.weibull
+    for eta0 in (0.3, 0.5, 0.6, 0.7):
+        r_star = wp.r_scale * math.log(c.eta0_norm / eta0) ** (
+            1.0 / wp.shape_lambda)
+        want = 1.0 - math.exp(-r_star ** 2 / (2.0 * c.sigma_bw2))
+        assert tracked_exceedance(eta0, c) == pytest.approx(want, rel=1e-12)
+    assert tracked_exceedance(c.eta0_norm, c) == 0.0
+    assert tracked_exceedance(0.85, c) == 0.0
+    # It is the complement of the integrated closed-form density.
+    quad = integrate.quad(lambda e: float(composite_pdt_density(e, c)),
+                          0.6, c.eta0_norm, limit=400)[0]
+    assert tracked_exceedance(0.6, c) == pytest.approx(quad, rel=1e-7)
 
 
 @pytest.mark.parametrize("eta_min", [-0.01, 1.0, 1.5])
@@ -170,15 +183,24 @@ def test_postselection_raises_mean(comp1):
 
 
 def test_zero_width_postselected_moments(zero_width_comp):
+    # Against the closed-form density integrated above the threshold.
     c = zero_width_comp
-    vals = c.eta0_norm * np.exp(
-        -(c.radii / c.weibull.r_scale) ** c.weibull.shape_lambda)
-    kept = vals[vals > 0.5]
+    dens = lambda e: float(composite_pdt_density(e, c))
+    acc_q = integrate.quad(dens, 0.5, c.eta0_norm, limit=400)[0]
+    m1_q = integrate.quad(lambda e: e * dens(e), 0.5, c.eta0_norm,
+                          limit=400)[0] / acc_q
+    m2_q = integrate.quad(lambda e: e * e * dens(e), 0.5, c.eta0_norm,
+                          limit=400)[0] / acc_q
     m1, m2, acc = postselected_moments(c, None, 0.5)
-    # exp(-mu0 - x) vs eta0 * exp(-x): same value up to a final rounding.
-    assert m1 == pytest.approx(float(np.mean(kept)), rel=1e-14)
-    assert m2 == pytest.approx(float(np.mean(kept * kept)), rel=1e-14)
-    assert acc == kept.size / vals.size
+    assert acc == pytest.approx(acc_q, rel=1e-7)
+    assert m1 == pytest.approx(m1_q, rel=1e-7)
+    assert m2 == pytest.approx(m2_q, rel=1e-7)
+    # No threshold: the untruncated closure moments.
+    m = composite_moments(c)
+    m1, m2, acc = postselected_moments(c, None, 0.0)
+    assert acc == 1.0
+    assert m1 == pytest.approx(m.mean_eta, rel=1e-9)
+    assert m2 == pytest.approx(m.mean_eta2, rel=1e-9)
 
 
 def test_empty_postselection(zero_width_comp):
