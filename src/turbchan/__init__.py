@@ -14,8 +14,8 @@ from .pdt import (CompositeMoments, CompositePdt, TruncLogNormal,
                   trunc_lognormal_density, trunc_lognormal_from_moments,
                   trunc_lognormal_sample, weibull_params,
                   weibull_pdt_density)
-from .tracking import (TrackingConfig, attenuated_squeezing_db,
-                       postselected_moments, tracked_exceedance, tracked_pdt,
+from .tracking import (TrackingConfig, postselected_moments,
+                       tracked_exceedance, tracked_pdt,
                        tracking_from_fraction, transmitted_squeezing_db)
 from .qkd import (DecoyParams, KeyRateResult, averaged_key_rate,
                   binary_entropy, extinction_transmittance, gain,
@@ -40,7 +40,7 @@ __all__ = [
     "composite_load",
     "TrackingConfig", "tracking_from_fraction", "tracked_pdt",
     "tracked_exceedance", "postselected_moments",
-    "attenuated_squeezing_db", "transmitted_squeezing_db",
+    "transmitted_squeezing_db",
     "DecoyParams", "KeyRateResult", "binary_entropy", "gain", "qber",
     "one_photon_gain_lower", "key_rate_integrand", "averaged_key_rate",
     "relative_improvement", "extinction_transmittance", "mean_loss_db",

@@ -47,6 +47,8 @@ NORM_RTOL = 1e-8
 XI_TAIL = math.sqrt(24.0 * math.log(10.0))  # Rayleigh tail mass 1e-12 here
 MIN_NODES = 64                 # node count range of the mixture rule
 MAX_NODES = 8192
+ETA_RESOLVED = 1e-12           # smallest transmittance the rule resolves
+TAIL_WIDTHS = 8.0              # conditional widths past it that still count
 REJECTION_MIN_F1 = 1e-3
 # Mixing widths below this are indistinguishable from point masses at double
 # precision (the variance ratio sits within rounding of 1); snapped to the
@@ -277,21 +279,23 @@ def _rayleigh_rule(n):
     return xi, w
 
 
-def _node_count(s, lam, sigma_r0):
+def _node_count(s, lam, sigma_r0, mu0):
     """Rayleigh nodes a mixture needs: the first MIN_NODES * 2**k at which
-    the location mu0 + (s xi)**lam moves by at most one conditional width
-    between neighbouring nodes out to XI_TAIL (Gauss-Legendre spacing
-    pi sqrt(xi (XI_CUTOFF - xi)) / n there).  s = sigma_bw / r_scale; the
-    width counts as 1 when it is 0 or above 1, where the exp(-mu) factors
-    of the moments set the scale.  Raises QuadratureNotConverged past
-    MAX_NODES.  On 295 shapes (s 0.05-1.5, lam 2-22.8, sigma_r0 0.01-2)
-    every count returned kept the density (relative to its peak, on
-    eta >= 1e-6), the exceedance and the postselection partial moments
-    within 1e-7 of an 8192-node rule; 129 of the shapes raise.
+    the location mu0 + (s xi)**lam, s = sigma_bw / r_scale, moves by at most
+    one conditional width (1 if 0 or above 1) between nodes, spaced
+    pi sqrt(xi (XI_CUTOFF - xi)) / n, out to the nearer of XI_TAIL and the
+    xi where the location passes -ln(ETA_RESOLVED) by TAIL_WIDTHS widths.
+    Raises QuadratureNotConverged past MAX_NODES.  On 336 shapes (s
+    0.05-1.5, lam 2-22.8, sigma_r0 0.01-2) each count returned is within
+    6e-9 of a 16384-node rule on eta >= ETA_RESOLVED; 90 shapes raise.
     """
     width = sigma_r0 if 0.0 < sigma_r0 < 1.0 else 1.0
-    need = (math.pi * lam * s ** lam * XI_TAIL ** (lam - 1.0)
-            * math.sqrt(XI_TAIL * (XI_CUTOFF - XI_TAIL)) / width)
+    reach = -math.log(ETA_RESOLVED) + TAIL_WIDTHS * sigma_r0 - mu0
+    if reach <= 0.0 or s == 0.0:
+        return MIN_NODES
+    xi = min(XI_TAIL, reach ** (1.0 / lam) / s)
+    need = (math.pi * lam * s ** lam * xi ** (lam - 1.0)
+            * math.sqrt(xi * (XI_CUTOFF - xi)) / width)
     n = MIN_NODES
     while n < need:
         n *= 2
@@ -309,13 +313,11 @@ class CompositePdt:
 
     Given a centroid displacement radius r0, the transmittance is log-normal
     with constant width sigma_r0 and location composite_mu(self, r0).  The
-    mixture over r0 ~ Rayleigh(sigma_bw) is a quadrature rule: radii
-    sigma_bw xi_k at the nodes of _rayleigh_rule, with its weights.  The
-    node count follows from the mixture's shape (_node_count) when the rule
-    is first used, so it is no setting; a shape that needs more than
-    MAX_NODES raises QuadratureNotConverged there.  eta0_norm and zeta0_sq
-    are normalized so the mixture's first two moments reproduce the channel
-    moments it was built from (see composite_moments).
+    mixture over r0 ~ Rayleigh(sigma_bw) is the rule _rayleigh_rule at radii
+    sigma_bw xi_k; its node count follows from the shape (_node_count) on
+    first use, and raises QuadratureNotConverged past MAX_NODES.  eta0_norm
+    and zeta0_sq are normalized so the mixture's first two moments
+    reproduce the channel moments it was built from (composite_moments).
     """
 
     eta0_norm: float
@@ -328,7 +330,8 @@ class CompositePdt:
     @cached_property
     def node_count(self):
         return _node_count(math.sqrt(self.sigma_bw2) / self.weibull.r_scale,
-                           self.weibull.shape_lambda, self.sigma_r0)
+                           self.weibull.shape_lambda, self.sigma_r0,
+                           float(composite_mu(self, 0.0)))
 
     @property
     def weights(self):
@@ -365,8 +368,7 @@ def composite_pdt_build(stats, a):
     conditional moments over the Rayleigh displacement law returns the
     input mean_eta and mean_eta2.  The normalization integrals are done by
     adaptive quadrature on [0, XI_CUTOFF] with relative tolerance
-    NORM_RTOL; the mixture itself lives on the Rayleigh rule described in
-    CompositePdt, so it draws no random numbers.
+    NORM_RTOL; the mixture is the Rayleigh rule of CompositePdt, not a draw.
 
     Parameters
     ----------
@@ -448,8 +450,9 @@ def composite_pdt_density(eta, c):
     """Density of the composite mixture at eta.
 
     With a positive conditional width this is the weighted sum of the
-    truncated log-normal node densities, each renormalized to (0, 1].
-    With zero conditional width it is the log-negative Weibull form of the
+    truncated log-normal node densities, each renormalized to (0, 1];
+    the rule resolves it on [ETA_RESOLVED, 1] (see _node_count).  With
+    zero conditional width it is the log-negative Weibull form of the
     point-mass components, in closed form with eta0_norm for eta0_max.
     """
     eta_arr = np.atleast_1d(np.asarray(eta, dtype=float))

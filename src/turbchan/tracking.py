@@ -218,11 +218,8 @@ def attenuated_squeezing_db(v_in_db, mean_eta):
 
 
 def transmitted_squeezing_db(v_in_db, c, t, eta_min):
-    """Detected squeezing after the fluctuating channel with postselection.
-
-    attenuated_squeezing_db at the postselected mean transmittance
-    <eta>_ps of the tracked mixture (postselected_moments), in
-    (v_in_db, 0) dB.
-    """
+    """Detected squeezing after the fluctuating channel with postselection:
+    attenuated_squeezing_db at the postselected mean transmittance of the
+    tracked mixture (postselected_moments), in (v_in_db, 0) dB."""
     return attenuated_squeezing_db(
         v_in_db, postselected_moments(c, t, eta_min)[0])

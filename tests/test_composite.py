@@ -292,7 +292,33 @@ def test_rule_raises_past_its_cap(comp1):
     # The count follows the shape and stops at the cap.
     s = math.sqrt(comp1.sigma_bw2) / comp1.weibull.r_scale
     lam = comp1.weibull.shape_lambda
-    counts = [_node_count(s, lam, sig) for sig in (1.0, 0.19, 0.05, 0.01)]
+    mu0 = float(composite_mu(comp1, 0.0))
+    counts = [_node_count(s, lam, sig, mu0)
+              for sig in (1.0, 0.19, 0.05, 0.01)]
     assert counts == sorted(counts) and counts[-1] <= MAX_NODES
     with pytest.raises(QuadratureNotConverged):
-        _node_count(1.0, lam, 0.01)
+        _node_count(1.0, lam, 0.01, mu0)
+
+
+def test_rule_stops_below_resolved_transmittance(monkeypatch):
+    # A steep attenuation law sends the outer nodes far below the smallest
+    # resolved transmittance, 1e-12.  The count covers only the nodes that
+    # carry transmittance, which spacing the nodes out to XI_TAIL would put
+    # past MAX_NODES, and still matches a 4x finer rule down to 1e-12.
+    from turbchan import pdt, tracked_exceedance
+    from turbchan.pdt import CompositePdt, WeibullParams
+    sig = 1.0
+    c = CompositePdt(0.98, 0.98 ** 2 * math.exp(sig * sig),
+                     WeibullParams(0.98, 1.0, 16.0, 8.0), 0.2 ** 2, sig, 1.0)
+    grid = np.concatenate([np.logspace(-12, -3, 50),
+                           np.linspace(0.001, 1.0, 200)])
+    node_count = pdt._node_count
+    n = c.node_count
+    assert n <= pdt.MAX_NODES
+    got = composite_pdt_density(grid, c), tracked_exceedance(grid, c)
+    monkeypatch.setattr(pdt, "_node_count", lambda *a: 4 * node_count(*a))
+    finer = dataclasses.replace(c)
+    assert finer.node_count == 4 * n
+    want = composite_pdt_density(grid, finer), tracked_exceedance(grid, finer)
+    assert np.max(np.abs(got[0] - want[0])) < 1e-7 * want[0].max()
+    assert np.max(np.abs(got[1] - want[1])) < 1e-7
