@@ -11,12 +11,11 @@ from .pdt import (CompositeMoments, CompositePdt, TruncLogNormal,
                   WeibullParams, composite_expectation, composite_moments,
                   composite_mu, composite_pdt_build, composite_pdt_density,
                   composite_pdt_sample, composite_load, composite_save,
-                  trunc_lognormal_density, trunc_lognormal_from_moments,
-                  trunc_lognormal_sample, weibull_params,
-                  weibull_pdt_density)
-from .tracking import (TrackingConfig, postselected_moments,
-                       tracked_exceedance, tracked_pdt,
-                       tracking_from_fraction, transmitted_squeezing_db)
+                  select_pdt, trunc_lognormal_density,
+                  trunc_lognormal_from_moments, trunc_lognormal_sample,
+                  weibull_params, weibull_pdt_density)
+from .tracking import (postselected_moments, tracked_exceedance, tracked_pdt,
+                       transmitted_squeezing_db)
 from .qkd import (DecoyParams, KeyRateResult, averaged_key_rate,
                   binary_entropy, extinction_transmittance, gain,
                   key_rate_integrand, mean_loss_db, one_photon_gain_lower,
@@ -37,9 +36,8 @@ __all__ = [
     "CompositePdt", "CompositeMoments", "composite_pdt_build",
     "composite_pdt_density", "composite_pdt_sample", "composite_mu",
     "composite_expectation", "composite_moments", "composite_save",
-    "composite_load",
-    "TrackingConfig", "tracking_from_fraction", "tracked_pdt",
-    "tracked_exceedance", "postselected_moments",
+    "composite_load", "select_pdt",
+    "tracked_pdt", "tracked_exceedance", "postselected_moments",
     "transmitted_squeezing_db",
     "DecoyParams", "KeyRateResult", "binary_entropy", "gain", "qber",
     "one_photon_gain_lower", "key_rate_integrand", "averaged_key_rate",

@@ -22,16 +22,14 @@ import scipy
 from .cache import cached_channel_stats_many, default_cache_dir
 from .channel import rytov_parameter
 from .config import Scenario, load_scenario
-from .errors import (ApproximationBreakdown, ConfigError, DegenerateDistribution,
-                     DomainError, QuadratureNotConverged, TurbchanError)
+from .errors import (ApproximationBreakdown, ConfigError,
+                     QuadratureNotConverged, TurbchanError)
 from .kernels import KERNEL_VERSION
 from .kernels.stats import StatsBudget
-from .pdt import (composite_pdt_build, composite_pdt_density,
-                  composite_pdt_sample, trunc_lognormal_density,
-                  trunc_lognormal_from_moments, trunc_lognormal_sample)
+from .pdt import composite_pdt_density, composite_pdt_sample, select_pdt
 from .qkd import averaged_key_rate, mean_loss_db, relative_improvement
 from .tracking import (attenuated_squeezing_db, postselected_moments,
-                       tracked_exceedance, tracked_pdt, tracking_from_fraction)
+                       tracked_exceedance, tracked_pdt)
 
 EXIT_OK = 0
 EXIT_GENERIC = 1
@@ -92,14 +90,13 @@ def _stats(scenario: Scenario, channel, args, seeds):
     return _stats_many(scenario, [channel], args, seeds)[0]
 
 
-def _fallback_pdt(st, scenario: Scenario):
-    """Composite PDT when its fit window allows, log-normal otherwise."""
-    try:
-        c = composite_pdt_build(st, scenario.channel.aperture_radius)
-        return c, "composite"
-    except DomainError:
-        tln = trunc_lognormal_from_moments(st.mean_eta, st.mean_eta2)
-        return tln, "lognormal"
+def _law(scenario: Scenario, st, diag):
+    """The channel's transmittance law; its family and, for a point mass,
+    its atom go to the manifest."""
+    law, family = select_pdt(st, scenario.channel.aperture_radius)
+    diag["pdt_family"] = family
+    diag["pdt_atom"] = law.atom
+    return law, family
 
 
 def _table_stats(scenario, args, seeds, diag):
@@ -118,13 +115,9 @@ def _table_stats(scenario, args, seeds, diag):
 def _table_pdt(scenario, args, seeds, diag):
     st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
-    pdt_obj, family = _fallback_pdt(st, scenario)
-    diag["pdt_family"] = family
+    law, family = _law(scenario, st, diag)
     grid = _eta_grid(scenario.eta_step)
-    if family == "composite":
-        dens = composite_pdt_density(grid, pdt_obj)
-    else:
-        dens = trunc_lognormal_density(grid, pdt_obj)
+    dens = composite_pdt_density(grid, law)
     header = ["scenario_id", "seed", "family", "eta", "density"]
     rows = [[scenario.scenario_id, scenario.seed, family, float(e), float(d)]
             for e, d in zip(grid, dens)]
@@ -134,16 +127,15 @@ def _table_pdt(scenario, args, seeds, diag):
 def _table_exceedance(scenario, args, seeds, diag):
     st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
-    c = composite_pdt_build(st, scenario.channel.aperture_radius)
+    law, _ = _law(scenario, st, diag)
     grid = _eta_grid(scenario.eta_step)
     header = ["scenario_id", "seed", "fraction", "eta", "density",
               "exceedance"]
     rows = []
     for f in scenario.tracking_fractions:
-        t = tracking_from_fraction(c.sigma_bw2, f, scenario.tracking_jitter2)
-        tc = tracked_pdt(c, t)
+        tc = tracked_pdt(law, f, scenario.tracking_jitter2)
         dens = composite_pdt_density(grid, tc)
-        exc = tracked_exceedance(grid, tc, None)
+        exc = tracked_exceedance(grid, tc)
         rows.extend([scenario.scenario_id, scenario.seed, float(f), float(e),
                      float(d), float(x)]
                     for e, d, x in zip(grid, dens, exc))
@@ -153,15 +145,14 @@ def _table_exceedance(scenario, args, seeds, diag):
 def _table_squeezing(scenario, args, seeds, diag):
     st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
-    c = composite_pdt_build(st, scenario.channel.aperture_radius)
+    law, _ = _law(scenario, st, diag)
     header = ["scenario_id", "seed", "fraction", "eta_min", "acceptance",
               "mean_eta_ps", "squeezing_db"]
     rows = []
     for f in scenario.tracking_fractions:
-        t = tracking_from_fraction(c.sigma_bw2, f, scenario.tracking_jitter2)
-        tc = tracked_pdt(c, t)
+        tc = tracked_pdt(law, f, scenario.tracking_jitter2)
         for eta_min in scenario.postselection_eta_min:
-            m1, _, acc = postselected_moments(tc, None, eta_min)
+            m1, _, acc = postselected_moments(tc, eta_min)
             sq = attenuated_squeezing_db(scenario.squeezing_input_db, m1)
             rows.append([scenario.scenario_id, scenario.seed, float(f),
                          float(eta_min), acc, m1, sq])
@@ -180,33 +171,16 @@ def _qkd_point(scenario, channel, st, seeds):
     points can run on concurrent threads.
     """
     ext = channel.extinction_eta
-    n = scenario.pdt_sample_count
-    try:
-        pdt_obj, family = _fallback_pdt(st, scenario)
-    except DegenerateDistribution:
-        pdt_obj, family = None, "degenerate"
-    if family == "composite":
-        samples = composite_pdt_sample(pdt_obj, n, seeds["qkd_samples"])
-    elif family == "lognormal":
-        samples = trunc_lognormal_sample(pdt_obj, n, seeds["qkd_samples"])
-    else:
-        samples = np.array([st.mean_eta])
-    res = averaged_key_rate(samples * ext, scenario.decoy)
-    if family == "composite":
-        t = tracking_from_fraction(pdt_obj.sigma_bw2, 1.0,
-                                   scenario.tracking_jitter2)
-        try:
-            tc = tracked_pdt(pdt_obj, t)
-            tsamples = composite_pdt_sample(tc, n, seeds["qkd_samples"])
-        except DegenerateDistribution:
-            tsamples = samples
-        res_t = averaged_key_rate(tsamples * ext, scenario.decoy)
-        rate_t = res_t.rate
-        imp = (relative_improvement(rate_t, res.rate)
-               if rate_t > 0.0 else 0.0)
-    else:
-        # No wandering share to remove outside the composite window.
-        rate_t, imp = res.rate, 0.0
+    n, seed = scenario.pdt_sample_count, seeds["qkd_samples"]
+    law, family = select_pdt(st, channel.aperture_radius)
+    res = averaged_key_rate(composite_pdt_sample(law, n, seed) * ext,
+                            scenario.decoy)
+    tracked = tracked_pdt(law, 1.0, scenario.tracking_jitter2)
+    # A law without wandering has nothing to track: same law, same rate.
+    res_t = res if tracked is law else averaged_key_rate(
+        composite_pdt_sample(tracked, n, seed) * ext, scenario.decoy)
+    rate_t = res_t.rate
+    imp = relative_improvement(rate_t, res.rate) if rate_t > 0.0 else 0.0
     loss = mean_loss_db(st.mean_eta * ext)
     row = [scenario.scenario_id, scenario.seed, channel.length, family, loss,
            res.rate, res.std_error, res.diagnostics["raw_mean"], rate_t, imp]

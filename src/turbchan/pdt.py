@@ -1,17 +1,23 @@
 """Transmittance probability distributions for turbulent optical channels.
 
-Three families cover the regimes of interest:
+Every table uses one law, the displacement-conditioned composite: a
+log-normal law for the transmittance conditioned on the centroid
+displacement radius, mixed over the Rayleigh displacement law (law of total
+probability) on a Gauss-Legendre rule.  It runs between two limits:
 
-* log-negative Weibull: the transmittance distribution of a Gaussian beam
-  whose centroid wanders around the aperture axis and suffers no other
-  fading mechanism;
-* truncated log-normal: matched to the first two transmittance moments,
-  adequate when beam wandering is weak;
-* displacement-conditioned composite: a log-normal law for the transmittance
-  conditioned on the centroid displacement radius, mixed over the Rayleigh
-  displacement law (law of total probability) on a Gauss-Legendre rule; it
-  interpolates between the two pure families (Vasylyev, Semenov & Vogel,
-  PRL 108, 220501 (2012) for the Weibull limit).
+* zero conditional width: the log-negative Weibull law of a Gaussian beam
+  whose centroid wanders around the aperture axis (Vasylyev, Semenov &
+  Vogel, PRL 108, 220501 (2012));
+* zero wandering: one truncated log-normal matched to the first two
+  transmittance moments (PRA 97, 063852 (2018)).
+
+select_pdt builds the law of a channel.  Inside the window RATIO_RANGE of
+the Weibull fit it is the composite; outside it the displacement law is not
+fitted, and the law is the zero-wandering mixture, whose location and width
+are those of trunc_lognormal_from_moments.  With neither wandering nor
+conditional width (zero variance, e.g. vacuum) the law is a point mass at
+its atom.  The stand-alone Weibull and truncated log-normal functions are
+the references these limits are tested against.
 
 The composite is normalized so that its untruncated conditional moments
 (composite_moments, composite_expectation) reproduce the moments it was
@@ -343,6 +349,14 @@ class CompositePdt:
         radii.setflags(write=False)
         return radii
 
+    @property
+    def atom(self):
+        """The one transmittance of a law with neither wandering nor
+        conditional width, which is a point mass there; None otherwise."""
+        if self.sigma_bw2 == 0.0 and self.sigma_r0 == 0.0:
+            return self.eta0_norm
+        return None
+
 
 def _displacement_average(n, sigma_bw, wp, xi_max=XI_CUTOFF):
     # E[exp(-n (r/r_scale)**lam); r < sigma_bw xi_max] over
@@ -358,6 +372,30 @@ def _displacement_average(n, sigma_bw, wp, xi_max=XI_CUTOFF):
     val, _ = integrate.quad(integrand, 0.0, xi_max,
                             epsabs=0.0, epsrel=NORM_RTOL, limit=200)
     return val
+
+
+def _mixture(stats, a, wp, sigma_bw2):
+    # The mixture under wandering variance sigma_bw2 whose untruncated
+    # moments reproduce stats.mean_eta and stats.mean_eta2.
+    sigma_bw = math.sqrt(sigma_bw2)
+    i1 = _displacement_average(1.0, sigma_bw, wp)
+    i2 = _displacement_average(2.0, sigma_bw, wp)
+    eta0 = stats.mean_eta / i1
+    zeta0_sq = stats.mean_eta2 / i2
+    ratio = zeta0_sq / (eta0 * eta0)
+    if ratio < 1.0:
+        # Rounding in the normalization can land a hair below 1 when the
+        # true variance is zero; anything further below is a real failure.
+        if 1.0 - ratio > 1e-12:
+            raise ApproximationBreakdown(
+                "normalized second moment %.6g < squared normalized mean "
+                "%.6g; conditional width would be imaginary"
+                % (zeta0_sq, eta0 * eta0))
+        ratio = 1.0
+    sigma_r0 = math.sqrt(math.log(ratio)) if ratio > 1.0 else 0.0
+    if sigma_r0 < SIGMA_R0_FLOOR:
+        sigma_r0 = 0.0
+    return CompositePdt(eta0, zeta0_sq, wp, sigma_bw2, sigma_r0, a)
 
 
 def composite_pdt_build(stats, a):
@@ -384,6 +422,9 @@ def composite_pdt_build(stats, a):
 
     Raises
     ------
+    DomainError
+        If a/W_ST falls outside RATIO_RANGE (select_pdt covers every
+        ratio).
     ApproximationBreakdown
         If the normalized second moment falls below the squared normalized
         first moment, which makes the conditional width imaginary; the
@@ -394,31 +435,49 @@ def composite_pdt_build(stats, a):
     """
     if a <= 0.0:
         raise DomainError("aperture radius must be positive, got %g" % a)
-    wst = math.sqrt(stats.wst2)
-    wp = weibull_params(a, wst)
-    sigma_bw = math.sqrt(stats.sigma_bw2)
-    i1 = _displacement_average(1.0, sigma_bw, wp)
-    i2 = _displacement_average(2.0, sigma_bw, wp)
-    eta0 = stats.mean_eta / i1
-    zeta0_sq = stats.mean_eta2 / i2
-    ratio = zeta0_sq / (eta0 * eta0)
-    if ratio < 1.0:
-        # Rounding in the normalization can land a hair below 1 when the
-        # true variance is zero; anything further below is a real failure.
-        if 1.0 - ratio > 1e-12:
-            raise ApproximationBreakdown(
-                "normalized second moment %.6g < squared normalized mean "
-                "%.6g; conditional width would be imaginary"
-                % (zeta0_sq, eta0 * eta0))
-        ratio = 1.0
-    sigma_r0 = math.sqrt(math.log(ratio)) if ratio > 1.0 else 0.0
-    if sigma_r0 < SIGMA_R0_FLOOR:
-        sigma_r0 = 0.0
-    if sigma_r0 == 0.0 and sigma_bw == 0.0:
+    c = _mixture(stats, a, weibull_params(a, math.sqrt(stats.wst2)),
+                 stats.sigma_bw2)
+    if c.atom is not None:
         raise DegenerateDistribution(
             "no wandering and zero conditional width; point mass at %g"
-            % eta0)
-    return CompositePdt(eta0, zeta0_sq, wp, stats.sigma_bw2, sigma_r0, a)
+            % c.atom)
+    return c
+
+
+def select_pdt(stats, a):
+    """The transmittance law of a channel and the name of its family.
+
+    Inside RATIO_RANGE the law is the composite of composite_pdt_build
+    ("composite").  Outside it the displacement law is not fitted and the
+    law is the zero-wandering mixture matched to both moments, one
+    truncated log-normal with the location and width of
+    trunc_lognormal_from_moments ("lognormal"); its attenuation law is
+    flat (r_scale = inf) and read only at zero displacement.  A law with
+    neither wandering nor conditional width is the point mass at its atom
+    ("degenerate", e.g. vacuum).  The density, sampler, tracking,
+    exceedance and postselection functions take every returned law alike.
+
+    Returns
+    -------
+    (CompositePdt, str)
+
+    Raises
+    ------
+    ApproximationBreakdown
+        As composite_pdt_build.
+    """
+    if a <= 0.0:
+        raise DomainError("aperture radius must be positive, got %g" % a)
+    wst = math.sqrt(stats.wst2)
+    ratio = a / wst
+    if RATIO_RANGE[0] <= ratio <= RATIO_RANGE[1]:
+        law = _mixture(stats, a, weibull_params(a, wst), stats.sigma_bw2)
+        family = "composite"
+    else:
+        flat = WeibullParams(-math.expm1(-2.0 * ratio * ratio), math.inf,
+                             2.0, ratio)
+        law, family = _mixture(stats, a, flat, 0.0), "lognormal"
+    return law, family if law.atom is None else "degenerate"
 
 
 def composite_mu(c, r0):
@@ -453,12 +512,14 @@ def composite_pdt_density(eta, c):
     truncated log-normal node densities, each renormalized to (0, 1];
     the rule resolves it on [ETA_RESOLVED, 1] (see _node_count).  With
     zero conditional width it is the log-negative Weibull form of the
-    point-mass components, in closed form with eta0_norm for eta0_max.
+    point-mass components, in closed form with eta0_norm for eta0_max;
+    a point mass (c.atom) has density 0.
     """
     eta_arr = np.atleast_1d(np.asarray(eta, dtype=float))
     if c.sigma_r0 == 0.0:
-        out = _weibull_form_density(eta_arr, c.eta0_norm, c.weibull.r_scale,
-                                    c.weibull.shape_lambda, c.sigma_bw2)
+        out = (np.zeros_like(eta_arr) if c.atom is not None else
+               _weibull_form_density(eta_arr, c.eta0_norm, c.weibull.r_scale,
+                                     c.weibull.shape_lambda, c.sigma_bw2))
         return float(out[0]) if np.ndim(eta) == 0 else out
     out = np.zeros_like(eta_arr)
     inside = (eta_arr > 0.0) & (eta_arr <= 1.0)

@@ -29,8 +29,8 @@ class DecoyParams:
     Attributes
     ----------
     mu_s, mu_d : float
-        Mean photon numbers of the signal and the weak decoy; the vacuum
-        decoy mu_v is fixed at zero.
+        Mean photon numbers of the signal and the weak decoy; the third
+        pulse is the vacuum decoy.
     y0 : float
         Background yield (dark counts and stray light).
     e_det : float
@@ -48,16 +48,12 @@ class DecoyParams:
     e_det: float = 0.01
     f_ec: float = 1.2
     eta_d: float = 1.0
-    mu_v: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.mu_s < self.mu_d < 1.0):
             raise DecoyOrderingViolation(
                 "need 0 < mu_s < mu_d < 1, got mu_s=%g mu_d=%g"
                 % (self.mu_s, self.mu_d))
-        if self.mu_v != 0.0:
-            raise DomainError("vacuum decoy intensity must be 0, got %g"
-                              % self.mu_v)
         if self.y0 < 0.0:
             raise DomainError("background yield must be >= 0, got %g"
                               % self.y0)
@@ -110,9 +106,6 @@ def qber(eta, mu, p):
 
 def _one_photon_terms(eta, p):
     """Signal gain and the raw (unclamped) one-photon gain bound."""
-    if p.mu_s >= p.mu_d:
-        raise DecoyOrderingViolation("need mu_s < mu_d, got mu_s=%g mu_d=%g"
-                                     % (p.mu_s, p.mu_d))
     mu_s, mu_d = p.mu_s, p.mu_d
     qs = gain(eta, mu_s, p)
     qd = gain(eta, mu_d, p)
@@ -133,12 +126,6 @@ def one_photon_gain_lower(eta, p, clamp=True):
     Combines the signal and weak-decoy gains with the background yield;
     the raw bound can go negative at small eta from the background terms,
     so it is clamped to [0, Q_signal] unless clamp=False.
-
-    Raises
-    ------
-    DecoyOrderingViolation
-        If mu_s >= mu_d (enforced by DecoyParams, re-checked here for
-        callers constructing parameters manually).
     """
     qs, raw = _one_photon_terms(eta, p)
     if clamp:
@@ -175,22 +162,17 @@ class KeyRateResult:
 
     rate: float
     std_error: float
-    improvement: Optional[float] = None
     diagnostics: Optional[dict] = None
 
 
-def averaged_key_rate(pdt, p, sample_count=DEFAULT_SAMPLES, seed=0,
-                      clamp_each=False):
+def averaged_key_rate(pdt, p, sample_count=DEFAULT_SAMPLES, seed=0):
     """Key rate averaged over the transmittance distribution.
 
     The secure fraction is the average of the raw per-transmittance bound
     (negative values allowed inside the average, since loss events where
     error correction outruns the one-photon margin genuinely eat into the
     key) and the reported rate is that average clamped at zero: the channel
-    either yields key or it does not.  Averaging the per-sample clamped
-    integrand instead (clamp_each=True) gives a sign-definite estimator
-    that cannot reach zero while any sample sits above the threshold; it
-    is kept as a sensitivity variant.
+    either yields key or it does not.
 
     Parameters
     ----------
@@ -201,8 +183,6 @@ def averaged_key_rate(pdt, p, sample_count=DEFAULT_SAMPLES, seed=0,
     sample_count : int
         Number of draws when pdt is a CompositePdt.
     seed : int
-    clamp_each : bool
-        Clamp the integrand per sample before averaging.
 
     Returns
     -------
@@ -222,17 +202,16 @@ def averaged_key_rate(pdt, p, sample_count=DEFAULT_SAMPLES, seed=0,
     # values and the clamp diagnostics both derive from them.
     qs, q1_raw = _one_photon_terms(samples, p)
     raw = _key_fraction(_clamp_q1(q1_raw, qs), qs, p)
-    vals = np.maximum(raw, 0.0) if clamp_each else raw
     n = samples.size
-    se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    mean_raw = float(np.mean(vals))
+    se = float(np.std(raw, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    mean_raw = float(np.mean(raw))
     diag = {
         "samples": n,
         "raw_mean": mean_raw,
         "q1_clamped_fraction": float(np.mean(q1_raw < 0.0)),
         "rate_clamped_fraction": float(np.mean(raw < 0.0)),
     }
-    return KeyRateResult(max(0.0, mean_raw), se, None, diag)
+    return KeyRateResult(max(0.0, mean_raw), se, diag)
 
 
 def relative_improvement(rate_tracked, rate_untracked):

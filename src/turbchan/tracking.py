@@ -1,106 +1,59 @@
 """Beam tracking, exceedance functions, and postselection statistics.
 
-A tracking system removes part of the centroid wandering variance; the
-residual wandering reshapes the composite transmittance mixture while the
-conditional law at fixed displacement stays untouched.  This module rescales
-tracked mixtures, evaluates exceedance probabilities, and computes moments
-conditioned on a postselection threshold, including the transmitted
-squeezing of a squeezed-vacuum input.
+A tracking system removes the fraction f = sigma_tr / sigma_bw of the
+centroid wandering, leaving the variance (1 - f^2)(sigma_bw^2 + jitter2);
+the residual wandering reshapes the composite mixture while the conditional
+law at fixed displacement stays untouched.  A law with no wandering share
+(the log-normal outside the Weibull window, a point mass) has nothing to
+track and is left unchanged.  This module tracks laws, evaluates
+exceedance probabilities, and computes moments conditioned on a
+postselection threshold, including the transmitted squeezing of a
+squeezed-vacuum input; the point mass has closed forms for each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy import special
 
-from .errors import (DegenerateDistribution, DomainError, EmptyPostselection,
-                     InvalidTracking)
+from .errors import DomainError, EmptyPostselection, InvalidTracking
 from .pdt import XI_CUTOFF, _component_sum, _displacement_average, composite_mu
 
 MIN_ACCEPTANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class TrackingConfig:
-    """Tracking strength against a given wandering variance.
-
-    Attributes
-    ----------
-    sigma_tr2 : float
-        Variance removed by the tracking system, in m^2.
-    sigma_bw2 : float
-        Wandering variance of the untracked channel the config applies to,
-        in m^2.
-    jitter2 : float
-        Optional additive variance from mechanical vibrations, applied to
-        the wandering before tracking.
-    """
-
-    sigma_tr2: float
-    sigma_bw2: float
-    jitter2: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma_tr2 < 0.0 or self.jitter2 < 0.0 or self.sigma_bw2 < 0.0:
-            raise InvalidTracking("variances must be non-negative")
-        if self.sigma_tr2 > self.sigma_bw2 + self.jitter2:
-            raise InvalidTracking(
-                "tracked variance %.4g exceeds available wandering %.4g"
-                % (self.sigma_tr2, self.sigma_bw2 + self.jitter2))
-
-    @property
-    def delta2(self):
-        """Residual wandering variance after tracking, in m^2."""
-        return self.sigma_bw2 + self.jitter2 - self.sigma_tr2
-
-
-def tracking_from_fraction(sigma_bw2, fraction, jitter2=0.0):
-    """TrackingConfig with sigma_tr = fraction * sigma_bw.
+def tracked_pdt(c, fraction, jitter2=0.0):
+    """Transmittance law after tracking a fraction of its wandering.
 
     fraction = 0 leaves the channel untracked, fraction = 1 removes the
-    wandering entirely (perfect tracking).  The fraction applies to the
-    wandering including any jitter term.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise InvalidTracking("tracking fraction must lie in [0, 1], got %g"
-                              % fraction)
-    return TrackingConfig(fraction * fraction * (sigma_bw2 + jitter2),
-                          sigma_bw2, jitter2)
-
-
-def _check_match(c, t):
-    if t.sigma_bw2 != c.sigma_bw2:
-        raise InvalidTracking(
-            "tracking config built for wandering variance %.6g, composite "
-            "has %.6g" % (t.sigma_bw2, c.sigma_bw2))
-
-
-def tracked_pdt(c, t):
-    """Composite mixture after tracking.
-
-    Only the displacement distribution changes: the node radii sigma_bw xi_k
-    become sqrt(delta2) xi_k on the Rayleigh rule, whose node count follows
-    the narrower wandering, while (eta0_norm, zeta0_sq, r_scale,
-    shape_lambda, sigma_r0) stay fixed.  Perfect tracking collapses the
-    mixture onto the single zero-displacement component.
+    wandering entirely (perfect tracking); jitter2 is an additive variance
+    from mechanical vibrations, added to the wandering before tracking.
+    Only the displacement distribution changes: the node radii
+    sigma_bw xi_k become sqrt(delta2) xi_k on the Rayleigh rule, whose node
+    count follows the narrower wandering, while (eta0_norm, zeta0_sq,
+    r_scale, shape_lambda, sigma_r0) stay fixed.  Perfect tracking
+    collapses the mixture onto its zero-displacement component, a point
+    mass if the conditional width is zero.  A law without wandering is
+    returned as it is, jitter included.
 
     Raises
     ------
     InvalidTracking
-        If t was built against a different wandering variance.
-    DegenerateDistribution
-        If perfect tracking meets a zero conditional width (point mass).
+        If fraction lies outside [0, 1] or jitter2 is negative.
     """
-    _check_match(c, t)
-    delta2 = t.delta2
-    if delta2 == 0.0 and c.sigma_r0 == 0.0:
-        raise DegenerateDistribution(
-            "perfect tracking of a zero-width mixture leaves a point mass "
-            "at %g" % c.eta0_norm)
-    return replace(c, sigma_bw2=delta2)
+    if not 0.0 <= fraction <= 1.0:
+        raise InvalidTracking("tracking fraction must lie in [0, 1], got %g"
+                              % fraction)
+    if jitter2 < 0.0:
+        raise InvalidTracking("jitter variance must be non-negative, got %g"
+                              % jitter2)
+    if c.sigma_bw2 == 0.0:
+        return c
+    total = c.sigma_bw2 + jitter2
+    return replace(c, sigma_bw2=total - fraction * fraction * total)
 
 
 def _cut_xi(c, eta):
@@ -111,56 +64,60 @@ def _cut_xi(c, eta):
             / math.sqrt(c.sigma_bw2))
 
 
-def tracked_exceedance(eta, c, t=None):
-    """Probability that the tracked transmittance exceeds eta.
+def tracked_exceedance(eta, c):
+    """Probability that the transmittance of a (tracked) law exceeds eta.
 
     Sums the per-node exceedance of the truncated log-normal conditionals
     over the Rayleigh rule; this is the exact complement of the integrated
     mixture density, so it is non-increasing in eta with value 1 at
     eta = 0 and 0 at eta = 1.  With zero conditional width it is the
     Rayleigh probability of a displacement below the cut radius r*, in
-    closed form.
+    closed form; for a point mass it is the step 1{eta < c.atom}.
 
     Parameters
     ----------
     eta : float or ndarray
         Threshold transmittances.
     c : CompositePdt
-    t : TrackingConfig, optional
-        Omit for the untracked channel.
+        The law, tracked with tracked_pdt where tracking applies.
 
     Returns
     -------
     float or ndarray
     """
-    ct = c if t is None else tracked_pdt(c, t)
     eta_arr = np.atleast_1d(np.asarray(eta, dtype=float))
     out = np.zeros_like(eta_arr)
     out[eta_arr <= 0.0] = 1.0
     inside = (eta_arr > 0.0) & (eta_arr < 1.0)
     if inside.any():
         e = eta_arr[inside]
-        if ct.sigma_r0 == 0.0:
-            out[inside] = -np.expm1(-0.5 * _cut_xi(ct, e) ** 2)
+        if c.atom is not None:
+            out[inside] = e < c.atom
+        elif c.sigma_r0 == 0.0:
+            out[inside] = -np.expm1(-0.5 * _cut_xi(c, e) ** 2)
         else:
-            out[inside] = 1.0 - _component_sum(ct, np.log(e), special.ndtr)
+            # The node weights sum to 1 only to rounding: near eta = 1 the
+            # complement can land an ulp below 0.
+            out[inside] = np.maximum(
+                1.0 - _component_sum(c, np.log(e), special.ndtr), 0.0)
     return float(out[0]) if np.ndim(eta) == 0 else out
 
 
-def postselected_moments(c, t, eta_min):
+def postselected_moments(c, eta_min):
     """Transmittance moments conditioned on exceeding a threshold.
 
-    Computes the first two moments of the tracked mixture restricted to
+    Computes the first two moments of the (tracked) mixture restricted to
     eta > eta_min via closed-form partial moments of each truncated
     log-normal node, summed over the Rayleigh rule, together with the
     acceptance probability (the exceedance at eta_min).  With zero
     conditional width the partial moments are Rayleigh averages of the
-    attenuation law up to the cut radius, by adaptive quadrature.
+    attenuation law up to the cut radius, by adaptive quadrature; a point
+    mass above the threshold gives (atom, atom^2, 1).
 
     Parameters
     ----------
     c : CompositePdt
-    t : TrackingConfig or None
+        The law, tracked with tracked_pdt where tracking applies.
     eta_min : float
         Postselection threshold in [0, 1).
 
@@ -176,20 +133,21 @@ def postselected_moments(c, t, eta_min):
     if not 0.0 <= eta_min < 1.0:
         raise DomainError("postselection threshold must lie in [0, 1), "
                           "got %g" % eta_min)
-    ct = c if t is None else tracked_pdt(c, t)
-    acceptance = tracked_exceedance(eta_min, ct)
+    acceptance = tracked_exceedance(eta_min, c)
     if acceptance <= MIN_ACCEPTANCE:
         raise EmptyPostselection("acceptance %.3g at threshold %g"
                                  % (acceptance, eta_min))
-    if ct.sigma_r0 == 0.0:
-        xi_max = (min(_cut_xi(ct, eta_min), XI_CUTOFF) if eta_min > 0.0
+    if c.atom is not None:
+        return c.atom, c.atom * c.atom, acceptance
+    if c.sigma_r0 == 0.0:
+        xi_max = (min(_cut_xi(c, eta_min), XI_CUTOFF) if eta_min > 0.0
                   else XI_CUTOFF)
-        return tuple(ct.eta0_norm ** n * _displacement_average(
-            n, math.sqrt(ct.sigma_bw2), ct.weibull, xi_max) / acceptance
+        return tuple(c.eta0_norm ** n * _displacement_average(
+            n, math.sqrt(c.sigma_bw2), c.weibull, xi_max) / acceptance
             for n in (1, 2)) + (acceptance,)
-    sig = ct.sigma_r0
-    mu = composite_mu(ct, ct.radii)
-    w = ct.weights / special.ndtr(mu / sig)
+    sig = c.sigma_r0
+    mu = composite_mu(c, c.radii)
+    w = c.weights / special.ndtr(mu / sig)
     ln_min = math.log(eta_min) if eta_min > 0.0 else -math.inf
 
     def partial(n):
@@ -217,9 +175,9 @@ def attenuated_squeezing_db(v_in_db, mean_eta):
     return 10.0 * math.log10(1.0 + mean_eta * (v_in - 1.0))
 
 
-def transmitted_squeezing_db(v_in_db, c, t, eta_min):
+def transmitted_squeezing_db(v_in_db, c, eta_min):
     """Detected squeezing after the fluctuating channel with postselection:
     attenuated_squeezing_db at the postselected mean transmittance of the
-    tracked mixture (postselected_moments), in (v_in_db, 0) dB."""
+    (tracked) law (postselected_moments), in (v_in_db, 0) dB."""
     return attenuated_squeezing_db(
-        v_in_db, postselected_moments(c, t, eta_min)[0])
+        v_in_db, postselected_moments(c, eta_min)[0])

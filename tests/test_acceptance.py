@@ -18,7 +18,7 @@ from turbchan import (ChannelParams, DecoyParams, binary_entropy,
                       channel_stats, composite_moments, composite_pdt_build,
                       composite_pdt_density, gain, key_rate_integrand,
                       one_photon_gain_lower, qber, rytov_parameter,
-                      tracked_exceedance, tracked_pdt, tracking_from_fraction,
+                      tracked_exceedance, tracked_pdt,
                       trunc_lognormal_density, trunc_lognormal_from_moments,
                       weibull_params, weibull_pdt_density)
 from turbchan.cli import main as cli_main
@@ -79,7 +79,7 @@ def test_criterion_3_moment_closure(stats1, stats2, stats3):
     report(3, "moment_closure", worst_z < 3.0, "worst z %.2f" % worst_z)
 
 
-def test_criterion_4_normalization(comp1, comp2, comp3, stats1):
+def test_criterion_4_normalization(comp1, comp2, comp3):
     worst = 0.0
 
     def defect(f, lo, hi):
@@ -97,7 +97,7 @@ def test_criterion_4_normalization(comp1, comp2, comp3, stats1):
         worst = max(worst, defect(
             lambda e: float(composite_pdt_density(e, c)), 0.0, 1.0))
     for f in (0.25, 0.5, 1.0):
-        tc = tracked_pdt(comp1, tracking_from_fraction(stats1.sigma_bw2, f))
+        tc = tracked_pdt(comp1, f)
         worst = max(worst, defect(
             lambda e: float(composite_pdt_density(e, tc)), 0.0, 1.0))
 
@@ -138,18 +138,17 @@ def test_criterion_5_limiting_families():
            "sup tln %.2e, sup weibull %.2e" % (sup_tln, sup_wb))
 
 
-def test_criterion_6_tracking_monotonicity(comp1, stats1):
+def test_criterion_6_tracking_monotonicity(comp1):
     fractions = (0.0, 0.25, 0.5, 1.0)
     grid = np.linspace(0.0, 1.0, 2001)
     modes = []
     for f in fractions:
-        tc = tracked_pdt(comp1, tracking_from_fraction(stats1.sigma_bw2, f))
+        tc = tracked_pdt(comp1, f)
         modes.append(float(grid[np.argmax(composite_pdt_density(grid,
                                                                 tc))]))
     ok = all(b >= a for a, b in zip(modes, modes[1:]))
     for eta0 in (0.90, 0.93, 0.95):
-        exc = [tracked_exceedance(
-                   eta0, comp1, tracking_from_fraction(stats1.sigma_bw2, f))
+        exc = [tracked_exceedance(eta0, tracked_pdt(comp1, f))
                for f in fractions]
         ok &= all(b > a for a, b in zip(exc, exc[1:]))
     report(6, "tracking_monotonicity", ok, "modes %s" % modes)

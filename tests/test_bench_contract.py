@@ -72,9 +72,10 @@ def test_correlation_pass_meets_its_checks():
 
 
 def test_warm_tables_meet_their_checks(tmp_path):
-    # The pdt, exceedance and squeezing tables of fig2_solid.cfg against
-    # the benchmark's own checks, so a change to the mixture that breaks
-    # them fails here rather than only in a benchmark run.
+    # The pdt, exceedance, squeezing, qkd and sweep tables of
+    # fig2_solid.cfg against the benchmark's own checks, so a change to the
+    # mixture or to the law of a sweep length that breaks them fails here
+    # rather than only in a benchmark run.
     import oracles
 
     scenario = ROOT / "scenarios" / "fig2_solid.cfg"
@@ -82,7 +83,7 @@ def test_warm_tables_meet_their_checks(tmp_path):
     common = ["--budget", "10", "--cache-dir", str(tmp_path / "cache"),
               "--out-dir", str(out)]
     with contextlib.redirect_stdout(io.StringIO()):
-        for table in ("pdt", "exceedance", "squeezing"):
+        for table in ("pdt", "exceedance", "squeezing", "qkd", "sweep"):
             assert cli.main([table, str(scenario)] + common) == 0
     sc = turbchan.load_scenario(scenario)
 
@@ -93,3 +94,6 @@ def test_warm_tables_meet_their_checks(tmp_path):
     checks.check_exceedance(rows("exceedance"))
     checks.check_squeezing(rows("squeezing"), sc.squeezing_input_db,
                            oracles.squeezing_out_db)
+    checks.check_qkd(rows("qkd"), rows("sweep"))
+    _, loss_ref = workloads.fig2_references()
+    checks.check_sweep(rows("sweep"), loss_ref)

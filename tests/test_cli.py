@@ -2,11 +2,16 @@
 
 import csv
 import json
+import re
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from turbchan.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GEOM = [
     "channel.wavelength = 800 nm",
@@ -292,14 +297,105 @@ def test_outdir_collision_exit_code(tmp_path):
 
 
 def test_generic_error_exit_code(tmp_path):
-    # Exceedance has no log-normal fallback; outside the fit window the
-    # composite build fails with a domain error.
-    cfg = turb_cfg(tmp_path, "exceedance", length="8 km",
-                   extra=["tracking.fractions = 0, 1"])
-    assert main(["exceedance", cfg, "--no-cache",
+    # A threshold above the vacuum channel's point mass accepts nothing.
+    text = (SCENARIOS / "vacuum.cfg").read_text(encoding="utf-8")
+    cfg = write_cfg(tmp_path, [text, "postselection.eta_min = 0.9999999999"])
+    assert main(["squeezing", cfg, "--no-cache",
                  "--out-dir", str(tmp_path / "o")]) == 1
 
 
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["histogram", "x.cfg"])
+
+
+def run_edge_tables(tmp_path, cfg, family, extra=()):
+    """pdt, exceedance, squeezing and qkd on one scenario: every table
+    exits 0, names the family, and tracking cannot change a law that has
+    no wandering.  Returns the pdt rows and manifest."""
+    common = ["--cache-dir", str(tmp_path / "cache"),
+              "--out-dir", str(tmp_path / "out")] + list(extra)
+    for table in ("pdt", "exceedance", "squeezing", "qkd"):
+        assert main([table, cfg] + common) == 0, table
+    sid = re.search(r"^scenario\.id = (\S+)", Path(cfg).read_text(),
+                    flags=re.MULTILINE).group(1)
+
+    def table(name):
+        out = tmp_path / "out"
+        man = json.loads((out / ("%s_%s_manifest.json" % (sid, name)))
+                         .read_text())
+        return read_csv(out / ("%s_%s.csv" % (sid, name))), man
+
+    pdt, man = table("pdt")
+    assert {r["family"] for r in pdt} == {family}
+    assert man["diagnostics"]["pdt_family"] == family
+    for name in ("exceedance", "squeezing"):
+        assert table(name)[1]["diagnostics"]["pdt_family"] == family
+    qkd, qkd_man = table("qkd")
+    assert qkd[0]["family"] == qkd_man["diagnostics"]["points"][0]["family"]
+    assert qkd[0]["family"] == family
+    assert qkd[0]["improvement"] == "0"
+    assert qkd[0]["rate_tracked"] == qkd[0]["rate"]
+
+    exc, _ = table("exceedance")
+    blocks = {}
+    for r in exc:
+        blocks.setdefault(r["fraction"], []).append(
+            (r["eta"], r["density"], r["exceedance"]))
+    assert len(blocks) > 1
+    first = next(iter(blocks.values()))
+    assert all(b == first for b in blocks.values())
+    eta = np.array([float(e) for e, _, _ in first])
+    x = np.array([float(v) for _, _, v in first])
+    assert eta[0] == 0.0 and x[0] == 1.0
+    assert eta[-1] == 1.0 and x[-1] == 0.0
+    assert np.all(np.diff(x) <= 0.0)
+
+    sq, _ = table("squeezing")
+    rows = {}
+    for r in sq:
+        rows.setdefault(r["fraction"], []).append(
+            [v for k, v in r.items() if k != "fraction"])
+    assert len(rows) == len(blocks)
+    assert all(b == rows[min(rows)] for b in rows.values())
+    return pdt, man
+
+
+def test_edge_regime_vacuum(tmp_path):
+    text = (SCENARIOS / "vacuum.cfg").read_text(encoding="utf-8")
+    cfg = write_cfg(tmp_path, [text, "tracking.fractions = 0, 0.5, 1",
+                               "tracking.jitter2 = 1e-6",
+                               "postselection.eta_min = 0.3, 0.5"])
+    pdt, man = run_edge_tables(tmp_path, cfg, "degenerate")
+    # A point mass has no density; its atom is the vacuum transmittance.
+    assert all(float(r["density"]) == 0.0 for r in pdt)
+    assert man["diagnostics"]["pdt_atom"] == pytest.approx(0.999999997325,
+                                                           rel=1e-9)
+
+
+def test_edge_regime_weak_turbulence(tmp_path):
+    # The aperture is 15.75 short-term beam radii, outside the Weibull
+    # window, and the flux covariance clamps to zero at this budget.
+    run_edge_tables(tmp_path, str(SCENARIOS / "weak_turbulence.cfg"),
+                    "degenerate")
+
+
+def test_edge_regime_outside_window(tmp_path):
+    # fig2 at 10 km: a/W_ST = 0.033, below the Weibull window, and a mean
+    # transmittance of 0.0046.  The file's thresholds (0.3 and up) accept
+    # less than 1e-6 of the law, which is an empty postselection; the
+    # regime test postselects where the law has mass.
+    text = re.sub(r"^channel\.length = .*$", "channel.length = 10 km",
+                  (SCENARIOS / "fig2_solid.cfg").read_text(encoding="utf-8"),
+                  flags=re.MULTILINE)
+    common = ["--budget", "10", "--cache-dir", str(tmp_path / "cache"),
+              "--out-dir", str(tmp_path / "o")]
+    assert main(["squeezing", write_cfg(tmp_path, [text])] + common) == 1
+    cfg = write_cfg(tmp_path, [re.sub(
+        r"^postselection\.eta_min = .*$",
+        "postselection.eta_min = 0.002, 0.005, 0.01", text,
+        flags=re.MULTILINE)], name="near.cfg")
+    pdt, _ = run_edge_tables(tmp_path, cfg, "lognormal",
+                             extra=["--budget", "10"])
+    dens = np.array([float(r["density"]) for r in pdt])
+    assert np.all(dens >= 0.0) and dens.max() > 0.0

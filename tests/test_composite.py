@@ -227,14 +227,14 @@ def fig2_traffic(comp1):
 
 
 def test_rule_converged_on_fig2_traffic(fig2_traffic, monkeypatch):
-    from turbchan import tracked_exceedance, tracked_pdt, tracking_from_fraction
+    from turbchan import tracked_exceedance, tracked_pdt
     from turbchan import pdt
     grid = np.linspace(0.0, 1.0, 501)
 
     def tables(c):
         out = []
         for f in FRACTIONS:
-            tc = tracked_pdt(c, tracking_from_fraction(c.sigma_bw2, f))
+            tc = tracked_pdt(c, f)
             out.append((composite_pdt_density(grid, tc),
                         tracked_exceedance(grid, tc)))
         return np.array(out)
@@ -263,11 +263,11 @@ def test_density_inside_sampled_mixture_spread(fig2_traffic):
     # Every value lies within the spread of 8 sampled 10^4-radius mixtures,
     # where the density exceeds 1e-4 of its peak: below that, 10^4 radii
     # hold too few components to serve as a reference.
-    from turbchan import tracked_pdt, tracking_from_fraction
+    from turbchan import tracked_pdt
     grid = np.linspace(0.004, 1.0, 250)
     for c in fig2_traffic:
         for f in (0.0, 0.5):
-            tc = tracked_pdt(c, tracking_from_fraction(c.sigma_bw2, f))
+            tc = tracked_pdt(c, f)
             dens = composite_pdt_density(grid, tc)
             sampled = np.array([sampled_mixture_density(grid, tc, seed)
                                 for seed in range(8)])

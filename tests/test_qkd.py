@@ -1,7 +1,5 @@
 """Two-decoy key-rate building blocks and distribution averages."""
 
-import types
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,7 +80,7 @@ def test_decoy_ordering_enforced(kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(mu_v=0.1),
+    dict(e_det=float("nan")),
     dict(y0=-1e-9),
     dict(e_det=-0.01),
     dict(e_det=0.51),
@@ -93,13 +91,6 @@ def test_decoy_ordering_enforced(kwargs):
 def test_decoy_domain_enforced(kwargs):
     with pytest.raises(DomainError):
         DecoyParams(**kwargs)
-
-
-def test_manual_params_rechecked():
-    bad = types.SimpleNamespace(mu_s=0.4, mu_d=0.3, y0=1.7e-6, e_det=0.01,
-                                f_ec=1.2, eta_d=1.0)
-    with pytest.raises(DecoyOrderingViolation):
-        one_photon_gain_lower(0.5, bad)
 
 
 def test_binary_entropy_shape():
@@ -169,14 +160,10 @@ def test_averaged_rate_two_point_linearity():
 def test_averaged_rate_raw_vs_clamped_variant():
     samples = np.array([1e-5, 0.9])
     res_raw = averaged_key_rate(samples, P)
-    res_cl = averaged_key_rate(samples, P, clamp_each=True)
     f_raw = key_rate_integrand(1e-5, P, clamp=False)
-    f_pos = key_rate_integrand(0.9, P)
     assert res_raw.diagnostics["raw_mean"] == pytest.approx(
         0.5 * (f_raw + key_rate_integrand(0.9, P, clamp=False)), rel=1e-13)
     assert res_raw.rate == max(0.0, res_raw.diagnostics["raw_mean"])
-    assert res_cl.rate == pytest.approx(0.5 * f_pos, rel=1e-13)
-    assert res_cl.rate >= res_raw.rate
     assert res_raw.diagnostics["rate_clamped_fraction"] == 0.5
 
 

@@ -1,4 +1,4 @@
-"""Tracking configs, exceedance functions, postselection, squeezing."""
+"""Tracking fractions, exceedance functions, postselection, squeezing."""
 
 import math
 
@@ -7,57 +7,39 @@ import pytest
 from scipy import integrate, special
 
 from oracles import squeezing_out_db
-from turbchan import (TrackingConfig, composite_moments, composite_mu,
+from turbchan import (composite_moments, composite_mu,
                       composite_pdt_density, postselected_moments,
-                      tracked_exceedance, tracked_pdt, tracking_from_fraction,
+                      tracked_exceedance, tracked_pdt,
                       transmitted_squeezing_db, trunc_lognormal_density)
-from turbchan.errors import (DegenerateDistribution, DomainError,
-                             EmptyPostselection, InvalidTracking)
+from turbchan.errors import DomainError, EmptyPostselection, InvalidTracking
 from turbchan.pdt import TruncLogNormal, _rayleigh_rule
 
-BW2 = 8.399e-05  # representative wandering variance for config-only tests
 
-
-def test_config_validation():
+def test_config_validation(comp1):
     with pytest.raises(InvalidTracking):
-        TrackingConfig(sigma_tr2=-1e-6, sigma_bw2=BW2)
-    with pytest.raises(InvalidTracking):
-        TrackingConfig(sigma_tr2=0.0, sigma_bw2=-BW2)
-    with pytest.raises(InvalidTracking):
-        TrackingConfig(sigma_tr2=0.0, sigma_bw2=BW2, jitter2=-1e-9)
-    with pytest.raises(InvalidTracking):
-        TrackingConfig(sigma_tr2=BW2 * 1.0001, sigma_bw2=BW2)
-    # Jitter extends the removable variance.
-    TrackingConfig(sigma_tr2=BW2 * 1.0001, sigma_bw2=BW2, jitter2=BW2)
+        tracked_pdt(comp1, 0.5, jitter2=-1e-9)
+    # Jitter extends the wandering that tracking acts on.
+    j2 = comp1.sigma_bw2
+    assert tracked_pdt(comp1, 0.0, jitter2=j2).sigma_bw2 == 2.0 * j2
 
 
 @pytest.mark.parametrize("fraction", [-0.1, 1.0001, 2.0])
-def test_fraction_out_of_range(fraction):
+def test_fraction_out_of_range(comp1, fraction):
     with pytest.raises(InvalidTracking):
-        tracking_from_fraction(BW2, fraction)
+        tracked_pdt(comp1, fraction)
 
 
-def test_fraction_variance_accounting():
-    j2 = 2e-05
-    t = tracking_from_fraction(BW2, 0.5, jitter2=j2)
-    assert t.sigma_tr2 == pytest.approx(0.25 * (BW2 + j2), rel=1e-15)
-    assert t.delta2 == pytest.approx(0.75 * (BW2 + j2), rel=1e-15)
-    assert tracking_from_fraction(BW2, 0.0).delta2 == BW2
-    assert tracking_from_fraction(BW2, 1.0).delta2 == 0.0
+def test_fraction_variance_accounting(comp1):
+    bw2, j2 = comp1.sigma_bw2, 2e-05
+    assert tracked_pdt(comp1, 0.5, jitter2=j2).sigma_bw2 == pytest.approx(
+        0.75 * (bw2 + j2), rel=1e-15)
+    assert tracked_pdt(comp1, 0.0).sigma_bw2 == bw2
+    assert tracked_pdt(comp1, 1.0).sigma_bw2 == 0.0
+    assert tracked_pdt(comp1, 1.0, jitter2=j2).sigma_bw2 == 0.0
 
 
-def test_mismatched_wandering_rejected(comp1):
-    t = tracking_from_fraction(1e-05, 0.5)
-    with pytest.raises(InvalidTracking):
-        tracked_pdt(comp1, t)
-    with pytest.raises(InvalidTracking):
-        tracked_exceedance(0.5, comp1, t)
-    with pytest.raises(InvalidTracking):
-        postselected_moments(comp1, t, 0.5)
-
-
-def test_zero_tracking_is_identity(comp1, stats1):
-    tp = tracked_pdt(comp1, tracking_from_fraction(stats1.sigma_bw2, 0.0))
+def test_zero_tracking_is_identity(comp1):
+    tp = tracked_pdt(comp1, 0.0)
     assert np.array_equal(tp.radii, comp1.radii)
     grid = np.linspace(0.01, 0.99, 200)
     assert np.array_equal(composite_pdt_density(grid, tp),
@@ -65,23 +47,22 @@ def test_zero_tracking_is_identity(comp1, stats1):
 
 
 def test_tracked_fields(comp1, stats1):
-    t = tracking_from_fraction(stats1.sigma_bw2, 0.5)
-    tp = tracked_pdt(comp1, t)
+    tp = tracked_pdt(comp1, 0.5)
     assert tp.eta0_norm == comp1.eta0_norm
     assert tp.zeta0_sq == comp1.zeta0_sq
     assert tp.weibull == comp1.weibull
     assert tp.sigma_r0 == comp1.sigma_r0
-    assert tp.sigma_bw2 == t.delta2
+    delta2 = stats1.sigma_bw2 - 0.25 * stats1.sigma_bw2
+    assert tp.sigma_bw2 == delta2
     # The radii are the nodes of the same Rayleigh rule at the residual
     # scale; the narrower wandering needs no more nodes.
     assert tp.node_count <= comp1.node_count
     xi = _rayleigh_rule(tp.node_count)[0]
-    assert np.array_equal(tp.radii, math.sqrt(t.delta2) * xi)
+    assert np.array_equal(tp.radii, math.sqrt(delta2) * xi)
 
 
-def test_perfect_tracking_is_single_lognormal(comp1, stats1):
-    t = tracking_from_fraction(stats1.sigma_bw2, 1.0)
-    tp = tracked_pdt(comp1, t)
+def test_perfect_tracking_is_single_lognormal(comp1):
+    tp = tracked_pdt(comp1, 1.0)
     assert np.all(tp.radii == 0.0)
     mu0 = float(composite_mu(comp1, 0.0))
     p = TruncLogNormal(mu0, comp1.sigma_r0,
@@ -92,9 +73,16 @@ def test_perfect_tracking_is_single_lognormal(comp1, stats1):
 
 
 def test_perfect_tracking_of_point_components_degenerate(zero_width_comp):
-    t = tracking_from_fraction(zero_width_comp.sigma_bw2, 1.0)
-    with pytest.raises(DegenerateDistribution):
-        tracked_pdt(zero_width_comp, t)
+    # Point components without wandering leave the point mass at eta0_norm.
+    tp = tracked_pdt(zero_width_comp, 1.0)
+    eta0 = zero_width_comp.eta0_norm
+    assert tp.atom == eta0
+    assert zero_width_comp.atom is None
+    grid = np.linspace(0.0, 1.0, 101)
+    assert np.all(composite_pdt_density(grid, tp) == 0.0)
+    assert np.array_equal(tracked_exceedance(grid, tp),
+                          (grid < eta0).astype(float))
+    assert postselected_moments(tp, 0.5) == (eta0, eta0 * eta0, 1.0)
 
 
 def test_exceedance_boundaries_and_monotonicity(comp1):
@@ -116,11 +104,9 @@ def test_exceedance_integrates_density(comp1, eta0):
         quad, abs=max(1e-9, 10 * err))
 
 
-def test_exceedance_monotone_in_tracking(comp1, stats1):
+def test_exceedance_monotone_in_tracking(comp1):
     for eta0 in (0.90, 0.93, 0.95):
-        vals = [tracked_exceedance(
-                    eta0, comp1,
-                    tracking_from_fraction(stats1.sigma_bw2, f))
+        vals = [tracked_exceedance(eta0, tracked_pdt(comp1, f))
                 for f in (0.0, 0.25, 0.5, 1.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -146,12 +132,11 @@ def test_zero_width_exceedance_is_rayleigh_cdf(zero_width_comp):
 @pytest.mark.parametrize("eta_min", [-0.01, 1.0, 1.5])
 def test_postselection_threshold_domain(comp1, eta_min):
     with pytest.raises(DomainError):
-        postselected_moments(comp1, None, eta_min)
+        postselected_moments(comp1, eta_min)
 
 
-def test_postselected_moments_match_quadrature(comp1, stats1):
-    t = tracking_from_fraction(stats1.sigma_bw2, 0.5)
-    tp = tracked_pdt(comp1, t)
+def test_postselected_moments_match_quadrature(comp1):
+    tp = tracked_pdt(comp1, 0.5)
     eta_min = 0.5
     dens = lambda e: float(composite_pdt_density(e, tp))
     acc_q = integrate.quad(dens, eta_min, 1.0, limit=400)[0]
@@ -159,7 +144,7 @@ def test_postselected_moments_match_quadrature(comp1, stats1):
                           limit=400)[0] / acc_q
     m2_q = integrate.quad(lambda e: e * e * dens(e), eta_min, 1.0,
                           limit=400)[0] / acc_q
-    m1, m2, acc = postselected_moments(comp1, t, eta_min)
+    m1, m2, acc = postselected_moments(tp, eta_min)
     assert acc == pytest.approx(acc_q, rel=1e-8)
     assert m1 == pytest.approx(m1_q, rel=1e-8)
     assert m2 == pytest.approx(m2_q, rel=1e-8)
@@ -167,18 +152,18 @@ def test_postselected_moments_match_quadrature(comp1, stats1):
     assert m1 * m1 <= m2 <= m1
 
 
-def test_acceptance_equals_exceedance(comp1, stats1):
-    t = tracking_from_fraction(stats1.sigma_bw2, 0.5)
+def test_acceptance_equals_exceedance(comp1):
+    tp = tracked_pdt(comp1, 0.5)
     for eta_min in (0.0, 0.3, 0.7):
-        _, _, acc = postselected_moments(comp1, t, eta_min)
-        assert acc == pytest.approx(tracked_exceedance(eta_min, comp1, t),
+        _, _, acc = postselected_moments(tp, eta_min)
+        assert acc == pytest.approx(tracked_exceedance(eta_min, tp),
                                     rel=1e-12)
 
 
 def test_postselection_raises_mean(comp1):
-    m_none, _, _ = postselected_moments(comp1, None, 0.0)
-    m_half, _, _ = postselected_moments(comp1, None, 0.5)
-    m_high, _, _ = postselected_moments(comp1, None, 0.9)
+    m_none, _, _ = postselected_moments(comp1, 0.0)
+    m_half, _, _ = postselected_moments(comp1, 0.5)
+    m_high, _, _ = postselected_moments(comp1, 0.9)
     assert m_none < m_half < m_high
 
 
@@ -191,13 +176,13 @@ def test_zero_width_postselected_moments(zero_width_comp):
                           limit=400)[0] / acc_q
     m2_q = integrate.quad(lambda e: e * e * dens(e), 0.5, c.eta0_norm,
                           limit=400)[0] / acc_q
-    m1, m2, acc = postselected_moments(c, None, 0.5)
+    m1, m2, acc = postselected_moments(c, 0.5)
     assert acc == pytest.approx(acc_q, rel=1e-7)
     assert m1 == pytest.approx(m1_q, rel=1e-7)
     assert m2 == pytest.approx(m2_q, rel=1e-7)
     # No threshold: the untruncated closure moments.
     m = composite_moments(c)
-    m1, m2, acc = postselected_moments(c, None, 0.0)
+    m1, m2, acc = postselected_moments(c, 0.0)
     assert acc == 1.0
     assert m1 == pytest.approx(m.mean_eta, rel=1e-9)
     assert m2 == pytest.approx(m.mean_eta2, rel=1e-9)
@@ -207,29 +192,27 @@ def test_empty_postselection(zero_width_comp):
     # All point components sit at or below eta0_norm < 0.95.
     assert zero_width_comp.eta0_norm < 0.95
     with pytest.raises(EmptyPostselection):
-        postselected_moments(zero_width_comp, None, 0.95)
+        postselected_moments(zero_width_comp, 0.95)
 
 
-def test_squeezing_matches_oracle(comp1, stats1):
+def test_squeezing_matches_oracle(comp1):
     for f in (0.0, 0.5, 1.0):
-        t = tracking_from_fraction(stats1.sigma_bw2, f)
-        m1, _, _ = postselected_moments(comp1, t, 0.3)
-        got = transmitted_squeezing_db(-3.0, comp1, t, 0.3)
+        tp = tracked_pdt(comp1, f)
+        m1, _, _ = postselected_moments(tp, 0.3)
+        got = transmitted_squeezing_db(-3.0, tp, 0.3)
         assert got == pytest.approx(float(squeezing_out_db(-3.0, m1)),
                                     rel=1e-12)
         assert -3.0 < got < 0.0
 
 
-def test_squeezing_improves_with_tracking(comp1, stats1):
-    outs = [transmitted_squeezing_db(
-                -3.0, comp1,
-                tracking_from_fraction(stats1.sigma_bw2, f), 0.3)
+def test_squeezing_improves_with_tracking(comp1):
+    outs = [transmitted_squeezing_db(-3.0, tracked_pdt(comp1, f), 0.3)
             for f in (0.0, 0.5, 1.0)]
     assert outs[0] > outs[1] > outs[2]
 
 
 def test_squeezing_improves_with_postselection(comp1):
-    outs = [transmitted_squeezing_db(-3.0, comp1, None, em)
+    outs = [transmitted_squeezing_db(-3.0, comp1, em)
             for em in (0.0, 0.3, 0.7)]
     assert outs[0] > outs[1] > outs[2]
 
@@ -237,4 +220,4 @@ def test_squeezing_improves_with_postselection(comp1):
 @pytest.mark.parametrize("v_in", [0.0, 1.0, 3.0])
 def test_squeezing_requires_squeezed_input(comp1, v_in):
     with pytest.raises(DomainError):
-        transmitted_squeezing_db(v_in, comp1, None, 0.3)
+        transmitted_squeezing_db(v_in, comp1, 0.3)
