@@ -33,9 +33,13 @@ Evaluation is randomized quasi-Monte Carlo: scrambled digital (Sobol) points,
 with the Gaussian envelope absorbed into the sampling density of the source
 variables (importance sampling) and uniform polar disk sampling for the
 aperture points. Standard errors come from independently scrambled
-replicates. The plain centered estimator h expm1(S) with the closed-form
-vacuum control variate was measured 10x noisier on a Rytov-1.7 configuration
-and is not used.
+replicates. The points come from :func:`sobol_points`: Joe-Kuo direction
+numbers at 30 bits, linear matrix scrambling plus a digital shift
+(Matousek, J. Complexity 14, 527, 1998), in Gray-code order. They equal
+the points of SciPy's qmc.Sobol bit for bit, but are built here in numpy,
+so they no longer depend on the installed scipy version. The plain centered
+estimator h expm1(S) with the closed-form vacuum control variate was
+measured 10x noisier on a Rytov-1.7 configuration and is not used.
 
 Channels that share w0 and the aperture radius share one pass over the
 points (common random numbers). Per chunk of points the disk and Gaussian
@@ -54,7 +58,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from ..channel import ChannelParams
 from .gamma2 import gamma2
@@ -107,9 +110,80 @@ def grouped_exponent(ux, uy, r1x, r1y, r2x, r2y, r3x, r3y, prefactor):
     return s2 + 0.5 * d, s2
 
 
-def _replicate_rngs(seed, replicates):
-    return [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(replicates)]
+# Joe-Kuo direction numbers (new-joe-kuo-6.21201; Joe & Kuo, SIAM J. Sci.
+# Comput. 30, 2635, 2008) of the ten dimensions in use: the primitive
+# polynomial of each dimension and its initial values m_1..m_deg.
+SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47)
+SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
+               (1, 3, 5, 13), (1, 1, 5, 5, 17), (1, 1, 5, 5, 5),
+               (1, 1, 7, 11, 19))
+SOBOL_BITS = 30
+_LOW_FIRST = np.arange(SOBOL_BITS, dtype=np.uint32)
+_TOP_FIRST = _LOW_FIRST[::-1]
+
+
+def _direction_numbers():
+    """Unscrambled direction numbers, shape (10, SOBOL_BITS), uint32.
+
+    Bratley-Fox recurrence on each dimension's primitive polynomial, with
+    column j holding v_j shifted up to bit SOBOL_BITS - 1 - j; the first
+    dimension is the van der Corput sequence.
+    """
+    table = [[1] * SOBOL_BITS]
+    for poly, init in zip(SOBOL_POLY[1:], SOBOL_VINIT[1:]):
+        deg = len(init)
+        v = list(init)
+        for j in range(deg, SOBOL_BITS):
+            new = v[j - deg]
+            for k in range(deg):
+                if (poly >> (deg - 1 - k)) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        table.append(v)
+    return np.array(table, dtype=np.uint32) << _TOP_FIRST
+
+
+_DIRECTIONS = _direction_numbers()
+
+
+def sobol_points(dim, log2_points, seed_seq):
+    """2^log2_points scrambled Sobol points in [0, 1)^dim, float64.
+
+    Linear matrix scrambling plus a digital shift, drawn from the first
+    child of ``seed_seq`` in this order: the dim x 30 shift bits, then dim
+    lower-triangular 30 x 30 bit matrices with a unit diagonal. Bit p from
+    the top of a scrambled direction number is the parity of matrix row p
+    AND the unscrambled number. The points run in Gray-code order from the
+    shift. This is SciPy's qmc.Sobol(dim, scramble=True,
+    rng=default_rng(seed_seq)).random_base2(log2_points) bit for bit, for a
+    ``seed_seq`` not yet spawned from; unlike that call, this one does not
+    spawn from ``seed_seq``, so equal arguments give equal points.
+    """
+    child = np.random.SeedSequence(seed_seq.entropy,
+                                   spawn_key=seed_seq.spawn_key + (0,),
+                                   pool_size=seed_seq.pool_size)
+    rng = np.random.Generator(np.random.PCG64(child))
+    shift = (rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32)
+             << _LOW_FIRST).sum(axis=1, dtype=np.uint32)
+    lower = np.tril(rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS),
+                                 dtype=np.uint32), -1)
+    lower |= np.eye(SOBOL_BITS, dtype=np.uint32)
+    rows = (lower << _TOP_FIRST).sum(axis=2, dtype=np.uint32)
+    x = rows[:, :, None] & _DIRECTIONS[:dim, None, :]
+    for s in (16, 8, 4, 2, 1):  # XOR-fold to the parity in bit 0
+        x ^= x >> np.uint32(s)
+    directions = ((x & np.uint32(1)) << _TOP_FIRST[:, None]).sum(
+        axis=1, dtype=np.uint32)
+    # Built per dimension (contiguous rows), returned point-major like scipy.
+    q = np.empty((dim, 1 << log2_points), dtype=np.uint32)
+    q[:, 0] = shift
+    for k in range(log2_points):
+        h = 1 << k
+        np.bitwise_xor(q[:, h - 1::-1], directions[:, k:k + 1],
+                       out=q[:, h:2 * h])
+    points = np.empty(q.shape[::-1])
+    np.multiply(q.T, 1.0 / (1 << SOBOL_BITS), out=points)
+    return points
 
 
 def _scan_chunks(points, channels, disk_radius=None, fixed_uv=None):
@@ -169,9 +243,8 @@ def _run_replicates(channels, dim, log2_points, replicates, seed, disk_radius,
     """Replicate means and diagnostics, one (value, se, diagnostics) per
     channel; every channel sees the same scrambled points."""
     per_channel = [[] for _ in channels]
-    for rng in _replicate_rngs(seed, replicates):
-        sob = qmc.Sobol(d=dim, scramble=True, seed=rng)
-        pts = sob.random_base2(log2_points)
+    for seed_seq in np.random.SeedSequence(seed).spawn(replicates):
+        pts = sobol_points(dim, log2_points, seed_seq)
         for acc, res in zip(per_channel,
                             _scan_chunks(pts, channels, disk_radius, fixed_uv)):
             acc.append(res)

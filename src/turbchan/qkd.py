@@ -203,7 +203,10 @@ def averaged_key_rate(pdt, p, sample_count=DEFAULT_SAMPLES, seed=0):
     qs, q1_raw = _one_photon_terms(samples, p)
     raw = _key_fraction(_clamp_q1(q1_raw, qs), qs, p)
     n = samples.size
-    se = float(np.std(raw, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    # Equal fractions have no spread, but np.std of them need not round to
+    # 0 (their computed mean can differ from the common value).
+    se = (float(np.std(raw, ddof=1) / math.sqrt(n))
+          if n > 1 and np.ptp(raw) > 0.0 else 0.0)
     mean_raw = float(np.mean(raw))
     diag = {
         "samples": n,

@@ -1,9 +1,16 @@
 """Fourth-order correlation estimator: exact limits and invariances."""
 
+import hashlib
+import inspect
 import math
+import os
+import subprocess
+import sys
 import types
 
+import numpy as np
 import pytest
+from scipy.stats import qmc
 
 import turbchan
 from turbchan import gamma2, gamma4
@@ -17,6 +24,10 @@ C1 = make_channel(4e-14, 1000.0)
 VAC = make_channel(0.0, 1000.0)
 
 FAST = dict(log2_points=12, replicates=8)
+# sha256 of the little-endian float64 bytes of sobol_points(10, 12, first
+# replicate stream of seed 0).
+GOLDEN_SHA256 = ("4072846d5fdae62eb57a885ea847a0b2"
+                 "3f0ee9f8a9db2660a670537f25de2d6b")
 
 
 def test_vacuum_factorizes_exactly():
@@ -107,3 +118,56 @@ def test_shared_pass_needs_common_geometry():
     with pytest.raises(ValueError):
         aperture_cov_qmc_many([C1, make_channel(4e-14, 2000.0,
                                                 aperture_radius=0.05)])
+
+
+# scipy is the reference only; it names the seed argument `rng` from 1.15.
+@pytest.mark.skipif("rng" not in inspect.signature(qmc.Sobol).parameters,
+                    reason="scipy.stats.qmc.Sobol has no rng argument")
+@pytest.mark.parametrize("dim", [1, 6, 10])
+@pytest.mark.parametrize("log2_points", [0, 1, 12, 16])
+def test_sobol_points_match_scipy_bit_for_bit(dim, log2_points):
+    # The replicate streams of three seeds, as _run_replicates spawns them.
+    # SeedSequence.spawn is stateful, so each side gets a fresh stream.
+    for seed in range(3):
+        for i in range(3):
+            ref = qmc.Sobol(dim, scramble=True, rng=np.random.default_rng(
+                np.random.SeedSequence(seed).spawn(3)[i])).random_base2(
+                    log2_points)
+            got = gamma4_module.sobol_points(
+                dim, log2_points, np.random.SeedSequence(seed).spawn(3)[i])
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_sobol_points_golden_checksum():
+    # Pins the points behind every cached covariance, independent of scipy.
+    seed_seq = np.random.SeedSequence(0).spawn(1)[0]
+    pts = gamma4_module.sobol_points(10, 12, seed_seq)
+    assert pts.shape == (4096, 10)
+    assert pts.min() >= 0.0 and pts.max() < 1.0
+    assert hashlib.sha256(pts.astype("<f8").tobytes()).hexdigest() == (
+        GOLDEN_SHA256)
+    # Pure in its argument: the sequence is not spawned from.
+    assert np.array_equal(gamma4_module.sobol_points(10, 12, seed_seq), pts)
+
+
+def test_kernels_never_import_scipy_stats():
+    # A fresh interpreter: the CLI and both QMC paths leave scipy.stats
+    # unimported, lazily or not.
+    code = "\n".join([
+        "import sys",
+        "import turbchan.cli",
+        "from turbchan import StatsBudget, channel_stats, gamma4",
+        "from conftest import make_channel",
+        "chan = make_channel(4e-14, 4000.0)",
+        "gamma4((0.0, 0.0), (0.01, 0.0), chan, log2_points=8)",
+        "channel_stats(chan, StatsBudget(eta2_log2_points=8))",
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'",
+    ])
+    src = os.path.dirname(os.path.dirname(turbchan.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, tests, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -150,6 +150,14 @@ def test_averaged_rate_point_mass():
     assert res.diagnostics["rate_clamped_fraction"] == 0.0
 
 
+def test_averaged_rate_point_mass_has_zero_se_at_any_count():
+    # The computed mean of 10^4 equal fractions at eta = 0.37 is one
+    # rounding off their common value, so np.std of them is not 0.
+    res = averaged_key_rate(np.full(10_000, 0.37), P)
+    assert res.std_error == 0.0
+    assert res.rate == pytest.approx(key_rate_integrand(0.37, P), rel=1e-14)
+
+
 def test_averaged_rate_two_point_linearity():
     a, b = 0.85, 0.95
     res = averaged_key_rate(np.array([a, b]), P)
