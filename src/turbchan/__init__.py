@@ -4,16 +4,14 @@ __version__ = "0.1.0"
 
 from .channel import ChannelParams, rytov_parameter
 from .kernels import (BeamStats, StatsBudget, channel_stats,
-                      channel_stats_many, eta2_qmc, phase_structure_function)
+                      channel_stats_many, phase_structure_function)
 from .kernels.gamma2 import gamma2
 from .kernels.gamma4 import gamma4
 from .pdt import (CompositeMoments, CompositePdt, TruncLogNormal,
-                  WeibullParams, composite_expectation, composite_moments,
-                  composite_mu, composite_pdt_build, composite_pdt_density,
-                  composite_pdt_sample, composite_load, composite_save,
-                  select_pdt, trunc_lognormal_density,
-                  trunc_lognormal_from_moments, trunc_lognormal_sample,
-                  weibull_params, weibull_pdt_density)
+                  WeibullParams, composite_moments, composite_mu,
+                  composite_pdt_build, composite_pdt_density,
+                  composite_pdt_sample, trunc_lognormal_sample,
+                  weibull_params)
 from .tracking import (postselected_moments, tracked_exceedance, tracked_pdt,
                        transmitted_squeezing_db)
 from .qkd import (DecoyParams, KeyRateResult, averaged_key_rate,
@@ -29,14 +27,12 @@ __all__ = [
     "__version__",
     "ChannelParams", "rytov_parameter",
     "BeamStats", "StatsBudget", "channel_stats", "channel_stats_many",
-    "phase_structure_function", "gamma2", "gamma4", "eta2_qmc",
-    "WeibullParams", "weibull_params", "weibull_pdt_density",
-    "TruncLogNormal", "trunc_lognormal_from_moments",
-    "trunc_lognormal_density", "trunc_lognormal_sample",
+    "phase_structure_function", "gamma2", "gamma4",
+    "WeibullParams", "weibull_params",
+    "TruncLogNormal", "trunc_lognormal_sample",
     "CompositePdt", "CompositeMoments", "composite_pdt_build",
     "composite_pdt_density", "composite_pdt_sample", "composite_mu",
-    "composite_expectation", "composite_moments", "composite_save",
-    "composite_load", "select_pdt",
+    "composite_moments",
     "tracked_pdt", "tracked_exceedance", "postselected_moments",
     "transmitted_squeezing_db",
     "DecoyParams", "KeyRateResult", "binary_entropy", "gain", "qber",

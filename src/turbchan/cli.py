@@ -26,7 +26,8 @@ from .errors import (ApproximationBreakdown, ConfigError,
                      QuadratureNotConverged, TurbchanError)
 from .kernels import KERNEL_VERSION
 from .kernels.stats import StatsBudget
-from .pdt import composite_pdt_density, composite_pdt_sample, select_pdt
+from .pdt import (composite_pdt_build, composite_pdt_density,
+                  composite_pdt_sample)
 from .qkd import averaged_key_rate, mean_loss_db, relative_improvement
 from .tracking import (attenuated_squeezing_db, postselected_moments,
                        tracked_exceedance, tracked_pdt)
@@ -93,10 +94,10 @@ def _stats(scenario: Scenario, channel, args, seeds):
 def _law(scenario: Scenario, st, diag):
     """The channel's transmittance law; its family and, for a point mass,
     its atom go to the manifest."""
-    law, family = select_pdt(st, scenario.channel.aperture_radius)
-    diag["pdt_family"] = family
+    law = composite_pdt_build(st, scenario.channel.aperture_radius)
+    diag["pdt_family"] = law.family
     diag["pdt_atom"] = law.atom
-    return law, family
+    return law
 
 
 def _table_stats(scenario, args, seeds, diag):
@@ -115,11 +116,12 @@ def _table_stats(scenario, args, seeds, diag):
 def _table_pdt(scenario, args, seeds, diag):
     st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
-    law, family = _law(scenario, st, diag)
+    law = _law(scenario, st, diag)
     grid = _eta_grid(scenario.eta_step)
     dens = composite_pdt_density(grid, law)
     header = ["scenario_id", "seed", "family", "eta", "density"]
-    rows = [[scenario.scenario_id, scenario.seed, family, float(e), float(d)]
+    rows = [[scenario.scenario_id, scenario.seed, law.family, float(e),
+             float(d)]
             for e, d in zip(grid, dens)]
     return header, rows, [hit]
 
@@ -127,7 +129,7 @@ def _table_pdt(scenario, args, seeds, diag):
 def _table_exceedance(scenario, args, seeds, diag):
     st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
-    law, _ = _law(scenario, st, diag)
+    law = _law(scenario, st, diag)
     grid = _eta_grid(scenario.eta_step)
     header = ["scenario_id", "seed", "fraction", "eta", "density",
               "exceedance"]
@@ -145,7 +147,7 @@ def _table_exceedance(scenario, args, seeds, diag):
 def _table_squeezing(scenario, args, seeds, diag):
     st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
-    law, _ = _law(scenario, st, diag)
+    law = _law(scenario, st, diag)
     header = ["scenario_id", "seed", "fraction", "eta_min", "acceptance",
               "mean_eta_ps", "squeezing_db"]
     rows = []
@@ -172,7 +174,8 @@ def _qkd_point(scenario, channel, st, seeds):
     """
     ext = channel.extinction_eta
     n, seed = scenario.pdt_sample_count, seeds["qkd_samples"]
-    law, family = select_pdt(st, channel.aperture_radius)
+    law = composite_pdt_build(st, channel.aperture_radius)
+    family = law.family
     res = averaged_key_rate(composite_pdt_sample(law, n, seed) * ext,
                             scenario.decoy)
     tracked = tracked_pdt(law, 1.0, scenario.tracking_jitter2)

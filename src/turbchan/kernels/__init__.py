@@ -8,8 +8,7 @@ the modules; the package exports the functions as ``turbchan.gamma2`` and
 
 from .structure_function import phase_structure_function
 from .gamma4 import QmcResult, aperture_cov_qmc, aperture_cov_qmc_many
-from .stats import (BeamStats, StatsBudget, channel_stats, channel_stats_many,
-                    eta2_qmc)
+from .stats import BeamStats, StatsBudget, channel_stats, channel_stats_many
 
 # Bumped whenever a kernel change alters numerical output; part of the
 # stats-cache key.
@@ -17,6 +16,6 @@ KERNEL_VERSION = "4"
 
 __all__ = [
     "phase_structure_function", "aperture_cov_qmc", "aperture_cov_qmc_many",
-    "eta2_qmc", "QmcResult", "BeamStats", "StatsBudget", "channel_stats",
+    "QmcResult", "BeamStats", "StatsBudget", "channel_stats",
     "channel_stats_many", "KERNEL_VERSION",
 ]

@@ -13,8 +13,7 @@ exactly 1 for any turbulence strength.
 
 For a pure 5/3-law structure function the full-plane second moment diverges
 like R^(1/3) (the far halo), so the short-term width is cutoff-defined: M2 is
-evaluated at the radius enclosing 99.9% of the beam mass, and the 99% value
-is reported in the diagnostics as a sensitivity indicator.
+evaluated at the radius enclosing 99.9% of the beam mass.
 
 The wandering variance uses the first-order (tilt) reduction of the same
 delta-correlated phase statistics, normalized so the plane-wave structure
@@ -30,16 +29,15 @@ oracle in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-import numpy as np
 from scipy import integrate, optimize, special
 
 from ..channel import ChannelParams
 from ..errors import QuadratureNotConverged, StatsInvariantViolation
 from .gamma2 import envelope_exponent, support_radius
 from .gamma4 import (DEFAULT_LOG2_POINTS, DEFAULT_REPLICATES, QmcResult,
-                     aperture_cov_qmc, aperture_cov_qmc_many)
+                     aperture_cov_qmc_many)
 
 # Relative floor applied to quoted standard errors: deterministic quadrature
 # results are exact only to their tolerance, and exact closed forms (vacuum)
@@ -66,9 +64,6 @@ class StatsBudget:
         if log2_total < 8:
             raise ValueError("log2_total must be >= 8")
         return cls(eta2_log2_points=log2_total - 4, eta2_replicates=16)
-
-    def scaled(self, **kw) -> "StatsBudget":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -129,28 +124,22 @@ def mean_eta_quad(params: ChannelParams) -> tuple[float, float]:
     return enclosed_mass(params.aperture_radius, params)
 
 
-def mass_cut_radius(params: ChannelParams, fraction: float = MASS_FRACTION,
-                    hi: float | None = None) -> float:
-    """Radius enclosing the given fraction of the (unit) beam mass.
-
-    hi, when given, is a radius known to enclose more than the fraction; it
-    replaces the doubling search for the upper end of the root bracket.
-    """
+def mass_cut_radius(params: ChannelParams) -> float:
+    """Radius enclosing MASS_FRACTION of the (unit) beam mass."""
     lo = 0.25 * params.w_vac
-    if hi is None:
-        hi = 4.0 * params.w_vac
-        while enclosed_mass(hi, params)[0] < fraction:
-            hi *= 2.0
-            if hi > 1e4 * params.w_vac:
-                raise QuadratureNotConverged("mass quantile bracket failed")
+    hi = 4.0 * params.w_vac
+    while enclosed_mass(hi, params)[0] < MASS_FRACTION:
+        hi *= 2.0
+        if hi > 1e4 * params.w_vac:
+            raise QuadratureNotConverged("mass quantile bracket failed")
     return optimize.brentq(
-        lambda r: enclosed_mass(r, params)[0] - fraction, lo, hi,
+        lambda r: enclosed_mass(r, params)[0] - MASS_FRACTION, lo, hi,
         xtol=1e-12, rtol=1e-12)
 
 
-def x2_moment(radius: float, params: ChannelParams,
-              mass: float) -> tuple[float, float]:
-    """Int x^2 Gamma_2 over the centered disk of radius and enclosed mass."""
+def x2_moment(radius: float, params: ChannelParams) -> tuple[float, float]:
+    """Int x^2 Gamma_2 over the centered disk of radius, which encloses
+    MASS_FRACTION of the beam mass."""
     c = params.k * radius / params.length
     exponent = envelope_exponent(params)
 
@@ -160,7 +149,8 @@ def x2_moment(radius: float, params: ChannelParams,
         return math.exp(exponent(rho)) * special.jv(2, c * rho) / rho
 
     tail, tail_err = _radial_quad(f, support_radius(params))
-    return 0.5 * radius ** 2 * mass - radius ** 2 * tail, radius ** 2 * tail_err
+    return (0.5 * radius ** 2 * MASS_FRACTION - radius ** 2 * tail,
+            radius ** 2 * tail_err)
 
 
 def sigma_bw2_quad(params: ChannelParams) -> tuple[float, float]:
@@ -189,25 +179,6 @@ def _eta2_result(mean_eta: float, cov: QmcResult) -> QmcResult:
     return QmcResult(mean_eta ** 2 + cov.value, cov.std_error, diag)
 
 
-def eta2_qmc(params: ChannelParams,
-             log2_points: int = DEFAULT_LOG2_POINTS,
-             replicates: int = DEFAULT_REPLICATES,
-             seed: int = 0,
-             mean_eta: float | None = None) -> QmcResult:
-    """Mean-square transmittance: squared mean plus the sampled covariance.
-
-    The squared mean transmittance comes from the 1-D radial quadrature
-    (error well under the QMC noise); only the flux covariance is sampled.
-    In vacuum the covariance integrand vanishes identically and the exact
-    closed form (1 - exp(-2 a^2 / W_vac^2))^2 is recovered with zero
-    standard error.
-    """
-    if mean_eta is None:
-        mean_eta = min(mean_eta_quad(params)[0], 1.0)
-    return _eta2_result(mean_eta,
-                        aperture_cov_qmc(params, log2_points, replicates, seed))
-
-
 def _quadrature_stats(params: ChannelParams) -> dict:
     """The deterministic part of channel_stats: everything but mean_eta2.
 
@@ -216,12 +187,9 @@ def _quadrature_stats(params: ChannelParams) -> dict:
     mean_eta, me_err = mean_eta_quad(params)
     mean_eta = min(mean_eta, 1.0)
     sbw2, sbw_err = sigma_bw2_quad(params)
-    rcut = mass_cut_radius(params, MASS_FRACTION)
-    x2, x2_err = x2_moment(rcut, params, MASS_FRACTION)
+    rcut = mass_cut_radius(params)
+    x2, x2_err = x2_moment(rcut, params)
     wst2 = 4.0 * (x2 - sbw2)
-    # The 99.9% radius encloses more than 99%, so it closes the bracket.
-    rcut99 = mass_cut_radius(params, 0.99, hi=rcut)
-    x2_99, _ = x2_moment(rcut99, params, 0.99)
     if wst2 <= 0.0:
         raise StatsInvariantViolation(
             "short-term width squared is non-positive (%.3g)" % wst2)
@@ -230,7 +198,6 @@ def _quadrature_stats(params: ChannelParams) -> dict:
         "sigma_bw2": sbw2, "se_sigma_bw2": _floored(sbw_err, sbw2),
         "wst2": wst2,
         "diagnostics": {"mass_fraction": MASS_FRACTION, "rcut_m": rcut,
-                        "wst2_sensitivity_99": 4.0 * (x2_99 - sbw2),
                         "x2_error": x2_err},
     }
 

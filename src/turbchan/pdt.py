@@ -11,32 +11,28 @@ probability) on a Gauss-Legendre rule.  It runs between two limits:
 * zero wandering: one truncated log-normal matched to the first two
   transmittance moments (PRA 97, 063852 (2018)).
 
-select_pdt builds the law of a channel.  Inside the window RATIO_RANGE of
-the Weibull fit it is the composite; outside it the displacement law is not
-fitted, and the law is the zero-wandering mixture, whose location and width
-are those of trunc_lognormal_from_moments.  With neither wandering nor
-conditional width (zero variance, e.g. vacuum) the law is a point mass at
-its atom.  The stand-alone Weibull and truncated log-normal functions are
-the references these limits are tested against.
+composite_pdt_build builds the law of a channel.  Inside the window
+RATIO_RANGE of the Weibull fit it is the composite; outside it the
+displacement law is not fitted, and the law is the zero-wandering mixture,
+one truncated log-normal matched to both moments.  With neither wandering
+nor conditional width (zero variance, e.g. vacuum) the law is a point mass
+at its atom.  The stand-alone Weibull and truncated log-normal laws these
+limits are tested against live in tests/oracles.py.
 
 The composite is normalized so that its untruncated conditional moments
-(composite_moments, composite_expectation) reproduce the moments it was
-built from.  The density, exceedance and sampler use the conditionals
-truncated to (0, 1], whose moments fall below the inputs wherever a
-component's mean sits near 1: on the 1 km headline channel of
-scenarios/fig2_solid.cfg (seed 0: mean_eta 0.949, mean_eta2 0.936) the
-truncated law has mean 0.839 and second moment 0.714
-(tracking.postselected_moments at threshold 0).
+(composite_moments) reproduce the moments it was built from.  The density,
+exceedance and sampler use the conditionals truncated to (0, 1], whose
+moments fall below the inputs wherever a component's mean sits near 1: on
+the 1 km headline channel of scenarios/fig2_solid.cfg (seed 0: mean_eta
+0.949, mean_eta2 0.936) the truncated law has mean 0.839 and second moment
+0.714 (tracking.postselected_moments at threshold 0).
 
-The composite supports density evaluation, sampling, expectations, moment
-recovery with quadrature errors, and a versioned JSON serialization that
-rebuilds the same mixture.
+The composite supports density evaluation, sampling, and moment recovery
+with quadrature errors.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -44,8 +40,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import integrate, special
 
-from .errors import (ApproximationBreakdown, DegenerateDistribution,
-                     DomainError, QuadratureNotConverged, RejectionStall)
+from .errors import (ApproximationBreakdown, DomainError,
+                     QuadratureNotConverged, RejectionStall)
 
 RATIO_RANGE = (0.1, 10.0)      # validated a/W_ST range of the Weibull fit
 XI_CUTOFF = 12.0               # Rayleigh quadrature cutoff; tail mass exp(-72)
@@ -60,15 +56,12 @@ REJECTION_MIN_F1 = 1e-3
 # precision (the variance ratio sits within rounding of 1); snapped to the
 # closed-form zero-width branch so densities stay evaluable.
 SIGMA_R0_FLOOR = 1e-7
-GH_NODES = 64
+# Rounding slack of a zero variance: a second moment this far below the
+# squared mean, relatively, counts as equal to it.
+MOMENT_RTOL = 1e-12
 COMPONENT_CHUNK = 4096
 
-SERIAL_FORMAT = "turbchan.composite-pdt"
-SERIAL_VERSION = 2
-
-_SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -151,30 +144,6 @@ def _weibull_form_density(eta_arr, eta0, r_scale, lam, sigma_bw2):
     return out
 
 
-def weibull_pdt_density(eta, wp, sigma_bw2):
-    """Transmittance density under beam wandering alone.
-
-    Parameters
-    ----------
-    eta : float or ndarray
-        Transmittance values.
-    wp : WeibullParams
-    sigma_bw2 : float
-        Beam-wandering variance in m^2, must be positive.
-
-    Returns
-    -------
-    float or ndarray
-        Density on the support (0, eta0_max), zero outside.
-    """
-    if sigma_bw2 <= 0.0:
-        raise DomainError("sigma_bw2 must be positive, got %g" % sigma_bw2)
-    eta_arr = np.atleast_1d(np.asarray(eta, dtype=float))
-    out = _weibull_form_density(eta_arr, wp.eta0_max, wp.r_scale,
-                                wp.shape_lambda, sigma_bw2)
-    return float(out[0]) if np.ndim(eta) == 0 else out
-
-
 @dataclass(frozen=True)
 class TruncLogNormal:
     """Log-normal law for the transmittance truncated to (0, 1].
@@ -186,57 +155,6 @@ class TruncLogNormal:
     mu: float
     sigma: float
     f1: float
-
-
-def trunc_lognormal_from_moments(mean_eta, mean_eta2):
-    """Match a truncated log-normal to the first two transmittance moments.
-
-    Parameters
-    ----------
-    mean_eta, mean_eta2 : float
-        First and second moments, 0 < mean_eta**2 < mean_eta2 <= mean_eta <= 1.
-
-    Returns
-    -------
-    TruncLogNormal
-
-    Raises
-    ------
-    DegenerateDistribution
-        If mean_eta2 == mean_eta**2 (zero variance; callers substitute a
-        point mass at mean_eta).
-    DomainError
-        If the moments violate the moment inequalities.
-    """
-    if not (0.0 < mean_eta <= 1.0):
-        raise DomainError("mean transmittance must lie in (0, 1], got %g"
-                          % mean_eta)
-    if mean_eta2 > mean_eta:
-        raise DomainError("second moment %g exceeds first moment %g"
-                          % (mean_eta2, mean_eta))
-    msq = mean_eta * mean_eta
-    if mean_eta2 < msq:
-        raise DomainError("second moment %g below squared mean %g"
-                          % (mean_eta2, msq))
-    if mean_eta2 == msq:
-        raise DegenerateDistribution(
-            "zero transmittance variance; use a point mass at %g" % mean_eta)
-    mu = -math.log(msq / math.sqrt(mean_eta2))
-    sigma = math.sqrt(math.log(mean_eta2 / msq))
-    f1 = special.ndtr(mu / sigma)
-    return TruncLogNormal(mu, sigma, f1)
-
-
-def trunc_lognormal_density(eta, p):
-    """Density of a TruncLogNormal on (0, 1], zero outside."""
-    eta_arr = np.atleast_1d(np.asarray(eta, dtype=float))
-    out = np.zeros_like(eta_arr)
-    inside = (eta_arr > 0.0) & (eta_arr <= 1.0)
-    if inside.any():
-        e = eta_arr[inside]
-        z = (np.log(e) + p.mu) / p.sigma
-        out[inside] = np.exp(-0.5 * z * z) / (e * p.sigma * _SQRT_2PI * p.f1)
-    return float(out[0]) if np.ndim(eta) == 0 else out
 
 
 def trunc_lognormal_sample(p, n, seed=0):
@@ -357,6 +275,17 @@ class CompositePdt:
             return self.eta0_norm
         return None
 
+    @property
+    def family(self):
+        """Name of the law: "degenerate" for a point mass, "lognormal" for
+        the zero-wandering law built outside RATIO_RANGE (flat attenuation
+        law, r_scale = inf), "composite" otherwise."""
+        if self.atom is not None:
+            return "degenerate"
+        if math.isinf(self.weibull.r_scale):
+            return "lognormal"
+        return "composite"
+
 
 def _displacement_average(n, sigma_bw, wp, xi_max=XI_CUTOFF):
     # E[exp(-n (r/r_scale)**lam); r < sigma_bw xi_max] over
@@ -386,7 +315,7 @@ def _mixture(stats, a, wp, sigma_bw2):
     if ratio < 1.0:
         # Rounding in the normalization can land a hair below 1 when the
         # true variance is zero; anything further below is a real failure.
-        if 1.0 - ratio > 1e-12:
+        if 1.0 - ratio > MOMENT_RTOL:
             raise ApproximationBreakdown(
                 "normalized second moment %.6g < squared normalized mean "
                 "%.6g; conditional width would be imaginary"
@@ -399,14 +328,22 @@ def _mixture(stats, a, wp, sigma_bw2):
 
 
 def composite_pdt_build(stats, a):
-    """Compose the transmittance distribution from channel moments.
+    """The transmittance law of a channel, for every aperture-to-beam ratio.
 
-    The conditional transmittance at displacement r0 is log-normal with
-    r0-independent width; its location is normalized so that averaging the
-    conditional moments over the Rayleigh displacement law returns the
-    input mean_eta and mean_eta2.  The normalization integrals are done by
-    adaptive quadrature on [0, XI_CUTOFF] with relative tolerance
-    NORM_RTOL; the mixture is the Rayleigh rule of CompositePdt, not a draw.
+    Inside RATIO_RANGE the law is the composite: the conditional
+    transmittance at displacement r0 is log-normal with r0-independent
+    width, its location normalized so that averaging the conditional
+    moments over the Rayleigh displacement law returns the input mean_eta
+    and mean_eta2.  The normalization integrals are done by adaptive
+    quadrature on [0, XI_CUTOFF] with relative tolerance NORM_RTOL; the
+    mixture is the Rayleigh rule of CompositePdt, not a draw.  Outside
+    RATIO_RANGE the displacement law is not fitted and the law is the
+    zero-wandering mixture matched to both moments, one truncated
+    log-normal; its attenuation law is flat (r_scale = inf) and read only
+    at zero displacement.  A law with neither wandering nor conditional
+    width is the point mass at its atom (e.g. vacuum).  CompositePdt.family
+    names which of the three a law is.  The density, sampler, tracking,
+    exceedance and postselection functions take every returned law alike.
 
     Parameters
     ----------
@@ -423,61 +360,29 @@ def composite_pdt_build(stats, a):
     Raises
     ------
     DomainError
-        If a/W_ST falls outside RATIO_RANGE (select_pdt covers every
-        ratio).
+        If the aperture radius or wst2 is not positive, or the moments violate
+        0 < mean_eta**2 <= mean_eta2 <= mean_eta <= 1 (beyond MOMENT_RTOL).
     ApproximationBreakdown
         If the normalized second moment falls below the squared normalized
         first moment, which makes the conditional width imaginary; the
         weak-wandering closure does not apply to these stats.
-    DegenerateDistribution
-        If both the wandering and the conditional width vanish (the
-        distribution is a point mass).
     """
-    if a <= 0.0:
-        raise DomainError("aperture radius must be positive, got %g" % a)
-    c = _mixture(stats, a, weibull_params(a, math.sqrt(stats.wst2)),
-                 stats.sigma_bw2)
-    if c.atom is not None:
-        raise DegenerateDistribution(
-            "no wandering and zero conditional width; point mass at %g"
-            % c.atom)
-    return c
-
-
-def select_pdt(stats, a):
-    """The transmittance law of a channel and the name of its family.
-
-    Inside RATIO_RANGE the law is the composite of composite_pdt_build
-    ("composite").  Outside it the displacement law is not fitted and the
-    law is the zero-wandering mixture matched to both moments, one
-    truncated log-normal with the location and width of
-    trunc_lognormal_from_moments ("lognormal"); its attenuation law is
-    flat (r_scale = inf) and read only at zero displacement.  A law with
-    neither wandering nor conditional width is the point mass at its atom
-    ("degenerate", e.g. vacuum).  The density, sampler, tracking,
-    exceedance and postselection functions take every returned law alike.
-
-    Returns
-    -------
-    (CompositePdt, str)
-
-    Raises
-    ------
-    ApproximationBreakdown
-        As composite_pdt_build.
-    """
-    if a <= 0.0:
-        raise DomainError("aperture radius must be positive, got %g" % a)
+    if a <= 0.0 or stats.wst2 <= 0.0:
+        raise DomainError("aperture and beam radii must be positive, got "
+                          "a=%g wst2=%g" % (a, stats.wst2))
+    m1, m2 = stats.mean_eta, stats.mean_eta2
+    if not (0.0 < m1 <= 1.0 and m2 <= m1
+            and 1.0 - m2 / (m1 * m1) <= MOMENT_RTOL):
+        raise DomainError("moments mean_eta=%g, mean_eta2=%g violate "
+                          "0 < mean_eta^2 <= mean_eta2 <= mean_eta <= 1"
+                          % (m1, m2))
     wst = math.sqrt(stats.wst2)
     ratio = a / wst
     if RATIO_RANGE[0] <= ratio <= RATIO_RANGE[1]:
-        law = _mixture(stats, a, weibull_params(a, wst), stats.sigma_bw2)
-        family = "composite"
-    else:
-        flat = WeibullParams(-math.expm1(-2.0 * ratio * ratio), math.inf,
-                             2.0, ratio)
-        law, family = _mixture(stats, a, flat, 0.0), "lognormal"
-    return law, family if law.atom is None else "degenerate"
+        return _mixture(stats, a, weibull_params(a, wst), stats.sigma_bw2)
+    flat = WeibullParams(-math.expm1(-2.0 * ratio * ratio), math.inf, 2.0,
+                         ratio)
+    return _mixture(stats, a, flat, 0.0)
 
 
 def composite_mu(c, r0):
@@ -569,35 +474,6 @@ def composite_pdt_sample(c, n, seed=0):
     return out
 
 
-def composite_expectation(c, f):
-    """Average a transmittance function over the composite law.
-
-    Each node's conditional is integrated against its full log-normal in
-    log space with a GH_NODES-point Gauss-Hermite rule, without the
-    unit-transmittance truncation that the density and the sampler apply.
-    This keeps the conditional moment identities exact, so f(eta) = eta and
-    f(eta) = eta**2 recover the moments the composite was built from up to
-    the quadrature error that composite_moments reports.  The price is that
-    f is also evaluated on the conditional tail above 1; when a component's
-    mean sits near 1 that tail carries real weight and the truncated law
-    the density describes has smaller moments than this expectation.
-
-    Parameters
-    ----------
-    c : CompositePdt
-    f : callable
-        Vectorized function of the transmittance; receives ndarrays.
-
-    Returns
-    -------
-    float
-    """
-    mu = composite_mu(c, c.radii)[:, None]
-    nodes, gh = np.polynomial.hermite.hermgauss(GH_NODES)
-    vals = np.asarray(f(np.exp(-mu + _SQRT2 * c.sigma_r0 * nodes[None, :])))
-    return float(c.weights @ (vals @ gh)) / _SQRT_PI
-
-
 @dataclass(frozen=True)
 class CompositeMoments:
     """First two composite moments with their quadrature errors."""
@@ -631,22 +507,3 @@ def composite_moments(c):
     return CompositeMoments(m1, m2, abs(m1 - h1) + NORM_RTOL * m1,
                             abs(m2 - h2) + NORM_RTOL * m2)
 
-
-def composite_save(c, path):
-    """Write a CompositePdt to a versioned JSON file (exact roundtrip)."""
-    payload = {"format": SERIAL_FORMAT, "version": SERIAL_VERSION,
-               **dataclasses.asdict(c)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def composite_load(path):
-    """Read a CompositePdt written by composite_save."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.pop("format", None) != SERIAL_FORMAT:
-        raise ValueError("not a composite PDT file")
-    if data.pop("version", None) != SERIAL_VERSION:
-        raise ValueError("unsupported composite PDT version")
-    data["weibull"] = WeibullParams(**data["weibull"])
-    return CompositePdt(**data)

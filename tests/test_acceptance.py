@@ -12,15 +12,14 @@ import math
 import numpy as np
 from scipy import integrate
 
+import oracles
 from oracles import (brute_entropy, brute_gain, brute_key_rate_integrand,
                      brute_q1_lower, brute_qber)
 from turbchan import (ChannelParams, DecoyParams, binary_entropy,
                       channel_stats, composite_moments, composite_pdt_build,
                       composite_pdt_density, gain, key_rate_integrand,
                       one_photon_gain_lower, qber, rytov_parameter,
-                      tracked_exceedance, tracked_pdt,
-                      trunc_lognormal_density, trunc_lognormal_from_moments,
-                      weibull_params, weibull_pdt_density)
+                      tracked_exceedance, tracked_pdt, weibull_params)
 from turbchan.cli import main as cli_main
 from turbchan.kernels.stats import BeamStats, StatsBudget
 
@@ -79,20 +78,23 @@ def test_criterion_3_moment_closure(stats1, stats2, stats3):
     report(3, "moment_closure", worst_z < 3.0, "worst z %.2f" % worst_z)
 
 
-def test_criterion_4_normalization(comp1, comp2, comp3):
+def test_criterion_4_normalization(comp1, comp2, comp3, zero_width_comp):
     worst = 0.0
 
     def defect(f, lo, hi):
         val = integrate.quad(f, lo, hi, limit=400)[0]
         return abs(val - 1.0)
 
-    wp = weibull_params(0.04, 0.05)
+    # The two limits: the wandering-only law (zero conditional width) and
+    # the truncated log-normal built outside the Weibull window.
     worst = max(worst, defect(
-        lambda e: float(weibull_pdt_density(e, wp, 8.4e-05)),
-        0.0, wp.eta0_max))
-    tln = trunc_lognormal_from_moments(0.5, 0.3)
+        lambda e: float(composite_pdt_density(e, zero_width_comp)),
+        0.0, zero_width_comp.eta0_norm))
+    tln = composite_pdt_build(
+        BeamStats(mean_eta=0.5, mean_eta2=0.3, sigma_bw2=8.4e-05, wst2=0.25),
+        0.04)
     worst = max(worst, defect(
-        lambda e: float(trunc_lognormal_density(e, tln)), 0.0, 1.0))
+        lambda e: float(composite_pdt_density(e, tln)), 0.0, 1.0))
     for c in (comp1, comp2, comp3):
         worst = max(worst, defect(
             lambda e: float(composite_pdt_density(e, c)), 0.0, 1.0))
@@ -114,10 +116,10 @@ def test_criterion_5_limiting_families():
                           wst2=0.0025, se_mean_eta=0.0, se_mean_eta2=0.0,
                           se_sigma_bw2=0.0, diagnostics={})
     c = composite_pdt_build(no_wander, 0.04)
-    tln = trunc_lognormal_from_moments(0.5, 0.3)
+    mu, sigma, _ = oracles.trunc_lognormal_params(0.5, 0.3)
     grid = np.linspace(1e-3, 1.0, 800)
-    sup_tln = float(np.max(np.abs(composite_pdt_density(grid, c)
-                                  - trunc_lognormal_density(grid, tln))))
+    tln = [oracles.trunc_lognormal_density(e, mu, sigma) for e in grid]
+    sup_tln = float(np.max(np.abs(composite_pdt_density(grid, c) - tln)))
 
     # No conditional spread: the mixture is the displacement law alone.
     from turbchan.pdt import _displacement_average
@@ -131,8 +133,9 @@ def test_criterion_5_limiting_families():
                            se_mean_eta2=0.0, se_sigma_bw2=0.0, diagnostics={})
     cz = composite_pdt_build(zero_width, 0.04)
     gz = np.linspace(1e-3, wp.eta0_max * 0.999, 800)
-    sup_wb = float(np.max(np.abs(composite_pdt_density(gz, cz)
-                                 - weibull_pdt_density(gz, wp, sigma_bw2))))
+    ref = oracles.weibull_params(0.04, 0.05)
+    wb = [oracles.weibull_density(e, *ref, math.sqrt(sigma_bw2)) for e in gz]
+    sup_wb = float(np.max(np.abs(composite_pdt_density(gz, cz) - wb)))
     ok = sup_tln < 1e-6 and sup_wb < 1e-3
     report(5, "limiting_families", ok,
            "sup tln %.2e, sup weibull %.2e" % (sup_tln, sup_wb))

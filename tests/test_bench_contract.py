@@ -45,7 +45,7 @@ def test_tracer_hooks_run_cleanly(tmp_path):
         # The library entry points whose hooks read arguments or results.
         chan = make_channel(4e-14, 1000.0)
         turbchan.channel_stats(chan, turbchan.StatsBudget.from_log2_total(10))
-        turbchan.eta2_qmc(chan, log2_points=8)
+        turbchan.kernels.aperture_cov_qmc(chan, log2_points=8)
         turbchan.gamma4((0.01, 0.0), (0.0, 0.005), chan, log2_points=8)
     finally:
         tracer.remove()
@@ -57,6 +57,8 @@ def test_tracer_hooks_run_cleanly(tmp_path):
             key = "%s.%s" % (module.removeprefix("turbchan."), name)
             assert tl[key].calls > 0, key
     assert tl["cache.stats_cache_get"].counts["misses"] > 0
+    # Every table builds its law through the traced builder.
+    assert tl["pdt.composite_pdt_build"].calls > 0
     assert "cov_rel_se@1000" in tl["kernels.stats.channel_stats"].counts
     # remove() restores the originals everywhere.
     assert not hasattr(cli.composite_pdt_density, "__wrapped__")

@@ -82,8 +82,10 @@ def test_determinism(chan1):
 
 
 def test_clamp_path_recorded(chan1):
-    # Heavy-tailed QMC noise can push <eta^2> past the <eta> ceiling; the
-    # estimate is clamped to the boundary and the event is recorded.
+    # At seed 1 the <eta^2> estimate exceeds the <eta> ceiling that eta <= 1
+    # allows; it is clamped to the boundary and the event is recorded.
+    # ROADMAP item 1 holds the evidence that the estimator's mean, not only
+    # its noise, lies above that bound.
     st = channel_stats(chan1, seed=1)
     assert st.diagnostics.get("clamped") == ["mean_eta2->mean_eta"]
     assert st.mean_eta2 == st.mean_eta
@@ -94,4 +96,4 @@ def test_diagnostics_structure(stats1):
     assert d["rcut_m"] == pytest.approx(ORACLE["c1"]["rcut"], rel=1e-4)
     assert d["mass_fraction"] == pytest.approx(0.999)
     assert d["eta2"]["points"] > 0 and d["eta2"]["replicates"] > 1
-    assert "wst2_sensitivity_99" in d
+    assert {"mass_fraction", "rcut_m", "x2_error", "eta2"} <= set(d)

@@ -1,4 +1,4 @@
-"""Composite transmittance distribution: closure, limits, persistence."""
+"""Composite transmittance distribution: closure, limits, the Rayleigh rule."""
 
 import dataclasses
 import math
@@ -7,16 +7,14 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from turbchan import (composite_expectation, composite_moments,
-                      composite_load, composite_mu, composite_pdt_build,
+from turbchan import (composite_moments, composite_mu, composite_pdt_build,
                       composite_pdt_density, composite_pdt_sample,
-                      composite_save, trunc_lognormal_density,
-                      trunc_lognormal_from_moments, weibull_params,
-                      weibull_pdt_density)
-from turbchan.errors import (ApproximationBreakdown, DegenerateDistribution,
-                             DomainError)
+                      weibull_params)
+from turbchan.errors import ApproximationBreakdown, DomainError
 from turbchan.kernels.stats import BeamStats
 from turbchan.pdt import XI_CUTOFF
+
+import oracles
 
 
 def synth_stats(mean_eta, mean_eta2, sigma_bw2, wst2):
@@ -57,14 +55,6 @@ def test_moment_closure(comp1, stats1):
     z1 = abs(m.mean_eta - stats1.mean_eta) / m.se_mean_eta
     z2 = abs(m.mean_eta2 - stats1.mean_eta2) / m.se_mean_eta2
     assert z1 < 3.0 and z2 < 3.0
-
-
-def test_expectation_equals_closed_form_moments(comp1):
-    m = composite_moments(comp1)
-    e1 = composite_expectation(comp1, lambda e: e)
-    e2 = composite_expectation(comp1, lambda e: e * e)
-    assert e1 == pytest.approx(m.mean_eta, rel=1e-12)
-    assert e2 == pytest.approx(m.mean_eta2, rel=1e-12)
 
 
 def test_truncation_gap_documented(comp1):
@@ -122,9 +112,10 @@ def test_conditional_mean_formula(comp1):
 def test_limit_no_wandering_is_trunc_lognormal():
     stats = synth_stats(0.5, 0.3, 0.0, 0.0025)
     c = composite_pdt_build(stats, 0.04)
-    p = trunc_lognormal_from_moments(0.5, 0.3)
+    mu, sigma, _ = oracles.trunc_lognormal_params(0.5, 0.3)
     grid = np.linspace(1e-3, 1.0, 800)
-    diff = composite_pdt_density(grid, c) - trunc_lognormal_density(grid, p)
+    want = [oracles.trunc_lognormal_density(e, mu, sigma) for e in grid]
+    diff = composite_pdt_density(grid, c) - want
     assert np.max(np.abs(diff)) < 1e-6
 
 
@@ -146,8 +137,10 @@ def test_limit_no_conditional_spread_is_weibull_form():
     c = composite_pdt_build(stats, a)
     assert c.sigma_r0 == 0.0
     grid = np.linspace(1e-3, wp.eta0_max * 0.999, 800)
-    diff = (composite_pdt_density(grid, c)
-            - weibull_pdt_density(grid, wp, sigma_bw2))
+    ref = oracles.weibull_params(a, math.sqrt(wst2))
+    want = [oracles.weibull_density(e, *ref, math.sqrt(sigma_bw2))
+            for e in grid]
+    diff = composite_pdt_density(grid, c) - want
     assert np.max(np.abs(diff)) < 1e-3
 
 
@@ -160,51 +153,28 @@ def test_breakdown_on_deficient_second_moment():
 
 
 def test_ratio_guard_propagates():
-    stats = synth_stats(0.5, 0.3, 8.4e-05, 0.25)
-    with pytest.raises(DomainError):
-        composite_pdt_build(stats, 0.04)
+    # a/W_ST = 0.08 lies below the Weibull window: the law drops the
+    # wandering and is the truncated log-normal; at 0.8 it is the composite.
+    outside = composite_pdt_build(synth_stats(0.5, 0.3, 8.4e-05, 0.25), 0.04)
+    assert outside.family == "lognormal"
+    assert outside.sigma_bw2 == 0.0 and math.isinf(outside.weibull.r_scale)
+    inside = composite_pdt_build(synth_stats(0.5, 0.3, 8.4e-05, 0.0025), 0.04)
+    assert inside.family == "composite"
+    assert inside.weibull == weibull_params(0.04, 0.05)
+
+
+def test_build_rejects_nonpositive_radii():
+    for a, wst2 in ((0.0, 0.0025), (0.04, 0.0)):
+        with pytest.raises(DomainError):
+            composite_pdt_build(synth_stats(0.5, 0.3, 8.4e-05, wst2), a)
 
 
 def test_degenerate_when_both_widths_vanish():
     wp = weibull_params(0.04, 0.05)
     stats = synth_stats(wp.eta0_max, wp.eta0_max ** 2, 0.0, 0.0025)
-    with pytest.raises(DegenerateDistribution):
-        composite_pdt_build(stats, 0.04)
-
-
-def test_save_load_roundtrip(tmp_path, comp1):
-    path = tmp_path / "c1.json"
-    composite_save(comp1, path)
-    back = composite_load(path)
-    assert back.eta0_norm == comp1.eta0_norm
-    assert back.zeta0_sq == comp1.zeta0_sq
-    assert back.sigma_bw2 == comp1.sigma_bw2
-    assert back.sigma_r0 == comp1.sigma_r0
-    assert back.weibull == comp1.weibull
-    assert back.aperture_radius == comp1.aperture_radius
-    # The rule is rebuilt from the stored shape, node for node.
-    assert back.node_count == comp1.node_count
-    assert np.array_equal(back.radii, comp1.radii)
-    assert np.array_equal(back.weights, comp1.weights)
-    grid = np.linspace(0.0, 1.0, 101)
-    assert np.array_equal(composite_pdt_density(grid, back),
-                          composite_pdt_density(grid, comp1))
-
-
-def test_load_rejects_wrong_header(tmp_path, comp1):
-    import json
-    path = tmp_path / "c1.json"
-    composite_save(comp1, path)
-    blob = json.loads(path.read_text())
-    blob["format"] = "something-else"
-    path.write_text(json.dumps(blob))
-    with pytest.raises(ValueError):
-        composite_load(path)
-    blob["format"] = "turbchan.composite-pdt"
-    blob["version"] = 99
-    path.write_text(json.dumps(blob))
-    with pytest.raises(ValueError):
-        composite_load(path)
+    c = composite_pdt_build(stats, 0.04)
+    assert c.family == "degenerate"
+    assert c.atom == wp.eta0_max
 
 
 # --- the Rayleigh rule against finer rules and the sampled mixture -------

@@ -1,4 +1,8 @@
-"""Weibull attenuation-law fit and the wandering-only transmittance density."""
+"""Weibull attenuation-law fit and the wandering-only transmittance density.
+
+The wandering-only density is the composite law with zero conditional
+width: every displacement gives one transmittance on the attenuation law.
+"""
 
 import math
 
@@ -7,13 +11,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from turbchan import weibull_params, weibull_pdt_density
+from turbchan import composite_pdt_density, weibull_params
 from turbchan.errors import DomainError
+from turbchan.pdt import CompositePdt
 
 import oracles
 
 # Frozen from tests/oracles.py (mpmath Bessel route), a = 4 cm, W_ST = 5 cm.
 ANCHOR = (0.721962699547, 0.0480900814013, 2.11741313303)
+
+
+def wandering_only(wp, sigma_bw2):
+    # Point components on the attenuation law under Rayleigh wandering.
+    return CompositePdt(wp.eta0_max, wp.eta0_max ** 2, wp, sigma_bw2, 0.0,
+                        0.04)
 
 
 def test_params_anchor():
@@ -52,19 +63,20 @@ def test_ratio_guard(a, wst):
 def test_density_matches_oracle_pointwise():
     wp = weibull_params(0.04, 0.05)
     sigma_bw2 = 8.4e-05
+    law = wandering_only(wp, sigma_bw2)
     for eta in (0.05, 0.2, 0.4, 0.6, 0.72):
         want = oracles.weibull_density(eta, *ANCHOR, math.sqrt(sigma_bw2))
-        got = weibull_pdt_density(eta, wp, sigma_bw2)
+        got = composite_pdt_density(eta, law)
         assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_density_support_and_normalization():
     wp = weibull_params(0.04, 0.05)
-    sigma_bw2 = 8.4e-05
-    assert weibull_pdt_density(0.0, wp, sigma_bw2) == 0.0
-    assert weibull_pdt_density(wp.eta0_max, wp, sigma_bw2) == 0.0
-    assert weibull_pdt_density(0.9, wp, sigma_bw2) == 0.0
-    norm, _ = integrate.quad(lambda e: weibull_pdt_density(e, wp, sigma_bw2),
+    law = wandering_only(wp, 8.4e-05)
+    assert composite_pdt_density(0.0, law) == 0.0
+    assert composite_pdt_density(wp.eta0_max, law) == 0.0
+    assert composite_pdt_density(0.9, law) == 0.0
+    norm, _ = integrate.quad(lambda e: composite_pdt_density(e, law),
                              0.0, wp.eta0_max, limit=300)
     assert norm == pytest.approx(1.0, abs=1e-8)
 
@@ -72,16 +84,10 @@ def test_density_support_and_normalization():
 def test_density_vectorized():
     wp = weibull_params(0.04, 0.05)
     grid = np.linspace(0.0, 1.0, 101)
-    dens = weibull_pdt_density(grid, wp, 8.4e-05)
+    dens = composite_pdt_density(grid, wandering_only(wp, 8.4e-05))
     assert dens.shape == grid.shape
     assert np.all(dens >= 0.0)
     assert np.all(dens[grid >= wp.eta0_max] == 0.0)
-
-
-def test_sigma_guard():
-    wp = weibull_params(0.04, 0.05)
-    with pytest.raises(DomainError):
-        weibull_pdt_density(0.3, wp, 0.0)
 
 
 def test_generative_law_roundtrip():
