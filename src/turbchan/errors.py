@@ -42,10 +42,6 @@ class DomainError(TurbchanError):
     """Input outside the validated range of an approximation formula."""
 
 
-class DegenerateDistribution(TurbchanError):
-    """Zero-variance moments; the caller should substitute a point mass."""
-
-
 class RejectionStall(TurbchanError):
     """Rejection sampler acceptance rate is pathologically small."""
 

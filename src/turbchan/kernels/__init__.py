@@ -12,7 +12,7 @@ from .stats import BeamStats, StatsBudget, channel_stats, channel_stats_many
 
 # Bumped whenever a kernel change alters numerical output; part of the
 # stats-cache key.
-KERNEL_VERSION = "4"
+KERNEL_VERSION = "5"
 
 __all__ = [
     "phase_structure_function", "aperture_cov_qmc", "aperture_cov_qmc_many",

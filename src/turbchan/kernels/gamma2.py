@@ -13,11 +13,13 @@ integral is a Bessel function and Gamma_2 is the 1-D Hankel transform
     Gamma_2(r) = k^2/(2 pi L^2) Int_0^inf rho g(rho) J0(k rho |r| / L) drho.
 
 :func:`gamma2` evaluates it on one fixed 128-node Gauss-Legendre rule on
-[0, 14 W0], the :func:`support_radius` that the radial quadratures of
-``kernels.stats`` share (the Gaussian factor alone is e^-98 there). The rule
-resolves only so much phase: with X = (k/L) |r| 14 W0 the total phase of
-J0 across the rule, it raises :class:`QuadratureNotConverged` once
-X > 2.5 x 128 rad, before evaluating anything. On its own the rule stays
+[0, 14 W0], the :func:`support_radius` where the Gaussian factor alone is
+e^-98. The aperture functionals of ``kernels.stats`` use the same Hankel
+form on a rule of their own, which ends where the whole envelope is e^-98
+and takes as many nodes as the largest radius they visit needs. The
+128-node rule resolves only so much phase: with X = (k/L) |r| 14 W0 the
+total phase of J0 across the rule, it raises :class:`QuadratureNotConverged`
+once X > 2.5 x 128 rad, before evaluating anything. On its own the rule stays
 accurate against the adaptive reference up to X/128 = 3.4-7.0 depending on
 the channel, so the guard leaves a margin.
 """
@@ -47,7 +49,7 @@ def _hankel_rule():
 
 
 def support_radius(params: ChannelParams) -> float:
-    """14 W0, where every radial integral over the envelope stops.
+    """14 W0, where the Hankel rule of :func:`gamma2` stops.
 
     The envelope decays at least as fast as its Gaussian factor, which is
     e^-98 there.
@@ -59,7 +61,6 @@ def envelope_exponent(params: ChannelParams):
     """rho -> -rho^2/(2 W0^2) - D_S(0, rho)/2, the exponent of :func:`envelope`.
 
     The two constants are bound once; the returned function takes a float
-    (for the scalar integrands of the radial quadratures, with math.exp)
     or an array.
     """
     two_w02 = 2.0 * params.w0 ** 2

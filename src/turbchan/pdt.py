@@ -38,13 +38,21 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import (ApproximationBreakdown, DomainError,
                      QuadratureNotConverged, RejectionStall)
+from .quadrature import gauss_legendre
 
 RATIO_RANGE = (0.1, 10.0)      # validated a/W_ST range of the Weibull fit
 XI_CUTOFF = 12.0               # Rayleigh quadrature cutoff; tail mass exp(-72)
+# Gauss-Legendre nodes of the displacement averages that normalize the
+# mixture (_displacement_average): within 1e-12 of adaptive quadrature on
+# 336 shapes (s 0.05-1.5, lambda 2-22.8, n = 1, 2, truncated xi_max
+# included; tests/test_composite.py); 512 nodes leave 3e-9.
+DISPLACEMENT_NODES = 1024
+# Relative error floor of those averages, quoted on top of each rule's own
+# error estimate (composite_moments).
 NORM_RTOL = 1e-8
 XI_TAIL = math.sqrt(24.0 * math.log(10.0))  # Rayleigh tail mass 1e-12 here
 MIN_NODES = 64                 # node count range of the mixture rule
@@ -192,10 +200,9 @@ def trunc_lognormal_sample(p, n, seed=0):
 @lru_cache(maxsize=8)
 def _rayleigh_rule(n):
     # Gauss-Legendre nodes xi_k on [0, XI_CUTOFF], weights GL_k xi_k
-    # exp(-xi_k^2/2) summing to 1; scipy's roots stay accurate at
-    # thousands of nodes, where numpy's lose digits.
-    x, g = special.roots_legendre(n)
-    xi = 0.5 * XI_CUTOFF * (x + 1.0)
+    # exp(-xi_k^2/2) summing to 1.
+    x, g = gauss_legendre(n)
+    xi = XI_CUTOFF * x
     w = g * xi * np.exp(-0.5 * xi * xi)
     w /= w.sum()
     xi.setflags(write=False)
@@ -289,18 +296,15 @@ class CompositePdt:
 
 def _displacement_average(n, sigma_bw, wp, xi_max=XI_CUTOFF):
     # E[exp(-n (r/r_scale)**lam); r < sigma_bw xi_max] over
-    # r ~ Rayleigh(sigma_bw); equals 1 when the beam does not wander.
+    # r ~ Rayleigh(sigma_bw) on the DISPLACEMENT_NODES Gauss-Legendre rule
+    # on [0, xi_max]; equals 1 when the beam does not wander.
     if sigma_bw == 0.0:
         return 1.0
+    x, g = gauss_legendre(DISPLACEMENT_NODES)
+    xi = xi_max * x
     s = sigma_bw / wp.r_scale
-    lam = wp.shape_lambda
-
-    def integrand(xi):
-        return xi * math.exp(-0.5 * xi * xi - n * (s * xi) ** lam)
-
-    val, _ = integrate.quad(integrand, 0.0, xi_max,
-                            epsabs=0.0, epsrel=NORM_RTOL, limit=200)
-    return val
+    return xi_max * float(g @ (xi * np.exp(-0.5 * xi * xi
+                                           - n * (s * xi) ** wp.shape_lambda)))
 
 
 def _mixture(stats, a, wp, sigma_bw2):
@@ -334,8 +338,8 @@ def composite_pdt_build(stats, a):
     transmittance at displacement r0 is log-normal with r0-independent
     width, its location normalized so that averaging the conditional
     moments over the Rayleigh displacement law returns the input mean_eta
-    and mean_eta2.  The normalization integrals are done by adaptive
-    quadrature on [0, XI_CUTOFF] with relative tolerance NORM_RTOL; the
+    and mean_eta2.  The normalization integrals run on the fixed
+    DISPLACEMENT_NODES Gauss-Legendre rule on [0, XI_CUTOFF]; the
     mixture is the Rayleigh rule of CompositePdt, not a draw.  Outside
     RATIO_RANGE the displacement law is not fitted and the law is the
     zero-wandering mixture matched to both moments, one truncated
@@ -492,7 +496,7 @@ def composite_moments(c):
     Rayleigh rule; by construction this reproduces the build inputs up to
     the quadrature error.  Each error reported is the difference against
     the rule with half the nodes, an upper estimate of the rule's error,
-    plus the NORM_RTOL relative tolerance of the normalization integrals.
+    plus the NORM_RTOL relative error floor of the normalization integrals.
     """
     sigma_bw = math.sqrt(c.sigma_bw2)
 

@@ -111,7 +111,8 @@ def postselected_moments(c, eta_min):
     log-normal node, summed over the Rayleigh rule, together with the
     acceptance probability (the exceedance at eta_min).  With zero
     conditional width the partial moments are Rayleigh averages of the
-    attenuation law up to the cut radius, by adaptive quadrature; a point
+    attenuation law up to the cut radius, on the fixed Gauss-Legendre rule
+    of the mixture's normalization (pdt.DISPLACEMENT_NODES); a point
     mass above the threshold gives (atom, atom^2, 1).
 
     Parameters

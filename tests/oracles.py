@@ -319,10 +319,8 @@ def main():
         rc = mass_cut_radius(cn2, ll, 0.999)
         x2 = x2_moment(rc, cn2, ll)
         w2 = 4.0 * (x2 - sb)
-        rc99 = mass_cut_radius(cn2, ll, 0.99)
-        x299 = x2_moment(rc99, cn2, ll)
-        print("%s: mean_eta=%.9g sigma_bw2=%.9g rcut=%.9g x2=%.9g wst2=%.9g wst2_99=%.9g"
-              % (name, me, sb, rc, x2, w2, 4.0 * (x299 - sb)))
+        print("%s: mean_eta=%.9g sigma_bw2=%.9g rcut=%.9g x2=%.9g wst2=%.9g"
+              % (name, me, sb, rc, x2, w2))
 
     print("\n## gamma2 pointwise (c1)")
     for r in (0.0, 0.01, 0.02, 0.04):

@@ -1,7 +1,9 @@
 """Composite transmittance distribution: closure, limits, the Rayleigh rule."""
 
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from turbchan import (composite_moments, composite_mu, composite_pdt_build,
                       weibull_params)
 from turbchan.errors import ApproximationBreakdown, DomainError
 from turbchan.kernels.stats import BeamStats
-from turbchan.pdt import XI_CUTOFF
+from turbchan.pdt import XI_CUTOFF, WeibullParams
 
 import oracles
 
@@ -175,6 +177,36 @@ def test_degenerate_when_both_widths_vanish():
     c = composite_pdt_build(stats, 0.04)
     assert c.family == "degenerate"
     assert c.atom == wp.eta0_max
+
+
+# --- the displacement averages against adaptive quadrature ------------
+
+# 7 s x 8 lambda x n = 1, 2 x 3 truncations: the 336 calibration shapes.
+CALIBRATION_S = np.geomspace(0.05, 1.5, 7)
+CALIBRATION_LAMBDA = np.geomspace(2.0, 22.8, 8)
+CALIBRATION_XI_MAX = (XI_CUTOFF, 3.0, 1.0)
+
+
+def test_displacement_average_matches_quadpack():
+    from turbchan.pdt import _displacement_average
+    worst = 0.0
+    for s, lam, n, xi_max in itertools.product(
+            CALIBRATION_S, CALIBRATION_LAMBDA, (1, 2), CALIBRATION_XI_MAX):
+        wp = WeibullParams(0.9, 1.0, float(lam), 1.0)
+        got = _displacement_average(n, float(s), wp, xi_max)
+
+        def f(xi):
+            return xi * math.exp(-0.5 * xi * xi - n * (s * xi) ** lam)
+
+        # Break at the step of the attenuation factor, where it falls to 1/e.
+        step = n ** (-1.0 / lam) / s
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            want, _ = integrate.quad(
+                f, 0.0, xi_max, epsabs=0.0, epsrel=1e-13, limit=400,
+                points=[step] if step < xi_max else None)
+        worst = max(worst, abs(got / want - 1.0))
+    assert worst <= 1e-12
 
 
 # --- the Rayleigh rule against finer rules and the sampled mixture -------

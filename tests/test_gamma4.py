@@ -151,23 +151,47 @@ def test_sobol_points_golden_checksum():
     assert np.array_equal(gamma4_module.sobol_points(10, 12, seed_seq), pts)
 
 
-def test_kernels_never_import_scipy_stats():
-    # A fresh interpreter: the CLI and both QMC paths leave scipy.stats
-    # unimported, lazily or not.
+def test_kernels_never_import_scipy_stats(tmp_path):
+    # A fresh interpreter: the CLI tables, both QMC paths, the law build and
+    # the zero-width postselection run on numpy and scipy.special alone,
+    # leaving scipy.stats, scipy.integrate, scipy.optimize and scipy.linalg
+    # unimported, lazily or not; importing builds no quadrature rule.
+    scenario = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scenarios", "fig2_solid.cfg")
     code = "\n".join([
-        "import sys",
+        "import math, sys",
         "import turbchan.cli",
-        "from turbchan import StatsBudget, channel_stats, gamma4",
+        "from turbchan import quadrature",
+        "# The fixed rules are built on first use, not at import.",
+        "assert quadrature.gauss_legendre.cache_info().currsize == 0",
+        "assert quadrature.tanh_sinh.cache_info().currsize == 0",
+        "from turbchan import (BeamStats, StatsBudget, channel_stats,",
+        "                      composite_pdt_build, gamma4,",
+        "                      postselected_moments, weibull_params)",
+        "from turbchan.pdt import _displacement_average",
         "from conftest import make_channel",
+        "for table in ('stats', 'pdt', 'exceedance', 'squeezing'):",
+        "    assert turbchan.cli.main([table, %r, '--budget', '10',"
+        " '--no-cache', '--out-dir', %r]) == 0" % (scenario, str(tmp_path)),
         "chan = make_channel(4e-14, 4000.0)",
         "gamma4((0.0, 0.0), (0.01, 0.0), chan, log2_points=8)",
-        "channel_stats(chan, StatsBudget(eta2_log2_points=8))",
-        "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'",
+        "st = channel_stats(chan, StatsBudget(eta2_log2_points=8))",
+        "composite_pdt_build(st, chan.aperture_radius)",
+        "wp = weibull_params(0.04, 0.05)",
+        "i1, i2 = (_displacement_average(n, math.sqrt(8.4e-5), wp)",
+        "          for n in (1.0, 2.0))",
+        "law = composite_pdt_build(BeamStats(wp.eta0_max * i1,",
+        "    wp.eta0_max ** 2 * i2, 8.4e-5, 0.0025), 0.04)",
+        "assert law.sigma_r0 == 0.0",
+        "postselected_moments(law, 0.5)",
+        "for name in ('scipy.stats', 'scipy.integrate', 'scipy.optimize',",
+        "             'scipy.linalg'):",
+        "    assert name not in sys.modules, name + ' imported'",
     ])
     src = os.path.dirname(os.path.dirname(turbchan.__file__))
     tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, tests, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+                         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
