@@ -290,8 +290,9 @@ def gamma4(r1, r2, params: ChannelParams,
     and the exact factorized vacuum value is returned with zero standard
     error. The quoted error covers the sampled part only. The mean-intensity
     factors come from :func:`gamma2`, whose error against the adaptive
-    reference stays below 1e-7 of its pointwise tolerance; where its rule
-    cannot resolve the phase, gamma4 raises QuadratureNotConverged too.
+    reference stays below 1e-6 of its pointwise tolerance; gamma4 raises
+    QuadratureNotConverged only where gamma2 does, past the node cap of its
+    Hankel rule (|r| > 59 m at 1 km for the fig2 beam).
     """
     ux, uy = float(r1[0] - r2[0]), float(r1[1] - r2[1])
     vx, vy = float(r1[0] + r2[0]), float(r1[1] + r2[1])

@@ -15,21 +15,16 @@ For a pure 5/3-law structure function the full-plane second moment diverges
 like R^(1/3) (the far halo), so the short-term width is cutoff-defined: M2 is
 evaluated at the radius enclosing 99.9% of the beam mass.
 
-All three functionals of a channel share one Gauss-Legendre rule on
-[0, R_sup], where R_sup (:func:`envelope_support`) is the radius at which
-the exponent of g reaches -SUPPORT_EXPONENT. Its node count is fixed before
-any evaluation, from the largest receiver radius the channel's functionals
-visit (the aperture and an a priori upper bound of the 99.9% radius): the
-smallest power of two that keeps the phase of J1 across the rule within
-MAX_PHASE_PER_NODE per node, or QuadratureNotConverged past
-MAX_RADIAL_NODES. Beyond PANEL_NODES nodes the rule is a compound of
-PANEL_NODES-node rules over equal panels. The 99.9% radius is a Newton
+All three functionals of a channel run on the Hankel rule of
+``kernels.gamma2``, with the node count that rule sets for the largest
+receiver radius they visit: the aperture, or an a priori upper bound of
+the 99.9% radius (:func:`radial_node_count`). The 99.9% radius is a Newton
 solve with a bisection safeguard, the slope dmass/dR = 2 pi R Gamma_2(R)
 coming from the same rule. Each quoted error is the difference against the
-same rule with twice the panels (two halves for a one-panel rule). Against
-adaptive quadrature at tight tolerance the rule is within 1e-10 for
-mean_eta, 1e-7 for the 99.9% radius and 1e-8 for wst2 on the fig2, vacuum
-and weak-turbulence channels at 1-16 km (``tests/test_channel_stats.py``).
+same rule with twice the panels. Against adaptive quadrature at tight
+tolerance the rule is within 1e-10 for mean_eta, 1e-7 for the 99.9% radius
+and 1e-8 for wst2 on the fig2, vacuum and weak-turbulence channels at
+1-16 km (``tests/test_channel_stats.py``).
 
 The wandering variance uses the first-order (tilt) reduction of the same
 delta-correlated phase statistics, normalized so the plane-wave structure
@@ -48,20 +43,18 @@ L = 0.2-50 km and W0 = 0.5-30 cm. Its diffractionless limit
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
 from scipy import special
 
 from ..channel import ChannelParams
 from ..errors import QuadratureNotConverged, StatsInvariantViolation
-from ..quadrature import gauss_legendre, tanh_sinh
-from .gamma2 import envelope_exponent
+from ..quadrature import tanh_sinh
+from .gamma2 import (MAX_NEWTON_STEPS, envelope_support, hankel_nodes,
+                     hankel_rule, stable_coeff)
 from .gamma4 import (DEFAULT_LOG2_POINTS, DEFAULT_REPLICATES, QmcResult,
                      aperture_cov_qmc_many)
-from .structure_function import ds_prefactor
 
 # Relative floor applied to quoted standard errors: deterministic quadrature
 # results are exact only to their tolerance, and exact closed forms (vacuum)
@@ -71,24 +64,13 @@ SE_FLOOR = 1e-9
 WANDER_COEFF = (5.0 / 3.0) * float(special.gamma(11.0 / 6.0))
 MASS_FRACTION = 0.999
 
-# The radial rule ends where the envelope is e^-98 (14 W0 without
-# turbulence, closer in with it).
-SUPPORT_EXPONENT = 98.0
-# Largest J1 phase (k/L) R R_sup per node, at the largest radius R visited.
-MAX_PHASE_PER_NODE = 1.3
-MIN_RADIAL_NODES = 64
-MAX_RADIAL_NODES = 65536
-# Past this many nodes the rule is a compound of PANEL_NODES-node rules over
-# equal panels of [0, R_sup], so no larger Gauss-Legendre rule is built.
-PANEL_NODES = 1024
 # Leading large-R tail of the mass of the 5/3-stable factor exp(-C rho^(5/3))
 # of g: mass outside R = TAIL_COEFF C (k R / L)^(-5/3) + ..., with
 # TAIL_COEFF = Int_0^inf u^(5/3) J1(u) du = 2^(5/3) Gamma(11/6) / Gamma(1/6).
 TAIL_COEFF = (2.0 ** (5.0 / 3.0) * math.gamma(11.0 / 6.0)
               / math.gamma(1.0 / 6.0))
-# Mass-cut solve: relative step at which it stops, and its step budget.
+# Mass-cut solve: relative step at which it stops.
 RADIUS_RTOL = 1e-12
-MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -144,40 +126,12 @@ class BeamStats:
         return cls(**d)
 
 
-def _stable_coeff(params: ChannelParams) -> float:
-    # C of the turbulence factor exp(-C rho^(5/3)) = exp(-D_S(0, rho)/2).
-    return 0.5 * 0.375 * ds_prefactor(params)
-
-
-def envelope_support(params: ChannelParams) -> float:
-    """R_sup, the source-plane radius where the envelope exponent
-    -rho^2/(2 W0^2) - D_S(0, rho)/2 reaches -SUPPORT_EXPONENT.
-
-    Newton on the convex increasing rho^2/(2 W0^2) + C rho^(5/3), started
-    from the smaller of the radii at which either term alone reaches
-    SUPPORT_EXPONENT, which lies at or beyond the root, so the iterates
-    fall monotonically onto it.
-    """
-    a = 0.5 / params.w0 ** 2
-    c = _stable_coeff(params)
-    rho = math.sqrt(SUPPORT_EXPONENT / a)
-    if c > 0.0:
-        rho = min(rho, (SUPPORT_EXPONENT / c) ** 0.6)
-    for _ in range(MAX_NEWTON_STEPS):
-        excess = a * rho * rho + c * rho ** (5.0 / 3.0) - SUPPORT_EXPONENT
-        step = excess / (2.0 * a * rho + (5.0 / 3.0) * c * rho ** (2.0 / 3.0))
-        rho -= step
-        if step <= 4.0 * np.finfo(float).eps * rho:
-            return rho
-    raise QuadratureNotConverged("envelope support radius did not converge")
-
-
 def _tail_radii(params: ChannelParams, gauss_tail: float,
                 stable_tail: float) -> tuple[float, float]:
     # Radii outside which the vacuum Gaussian spot holds gauss_tail of its
     # mass (exactly) and the 5/3-stable law stable_tail (to leading order).
     r_g = params.w_vac * math.sqrt(0.5 * math.log(1.0 / gauss_tail))
-    r_s = ((TAIL_COEFF * _stable_coeff(params) / stable_tail) ** 0.6
+    r_s = ((TAIL_COEFF * stable_coeff(params) / stable_tail) ** 0.6
            * params.length / params.k)
     return r_g, r_s
 
@@ -198,65 +152,28 @@ def _mass_cut_bracket(params: ChannelParams) -> float:
     return sum(_tail_radii(params, 0.1 * tail, 0.8 * tail))
 
 
-def radial_node_count(params: ChannelParams, radius: float = 0.0) -> int:
-    """Nodes of the channel's radial rule: the smallest power of two, at
-    least MIN_RADIAL_NODES, that keeps the J1 phase (k/L) R R_sup within
-    MAX_PHASE_PER_NODE per node, at R the largest of the aperture radius,
-    the mass-cut bracket and the given radius.
-
-    Raises QuadratureNotConverged past MAX_RADIAL_NODES.
-    """
-    reach = max(radius, params.aperture_radius, _mass_cut_bracket(params))
-    phase = params.k / params.length * reach * envelope_support(params)
-    n = MIN_RADIAL_NODES
-    while n * MAX_PHASE_PER_NODE < phase:
-        if n >= MAX_RADIAL_NODES:
-            raise QuadratureNotConverged(
-                "radial rule for R=%.3g m: J1 phase %.3g rad needs more than "
-                "%d nodes" % (reach, phase, MAX_RADIAL_NODES))
-        n *= 2
-    return n
+def radial_node_count(params: ChannelParams) -> int:
+    """Nodes of the channel's Hankel rule for its stats functionals: the
+    count :func:`hankel_nodes` sets for the larger of the aperture radius
+    and the mass-cut bracket, the largest receiver radii they visit."""
+    return hankel_nodes(
+        params, max(params.aperture_radius, _mass_cut_bracket(params)))
 
 
-@functools.lru_cache(maxsize=32)
-def _radial_rule_n(params: ChannelParams, n: int):
-    # (rho, weight * g) on the n-node rule over [0, R_sup] (n / PANEL_NODES
-    # panels past PANEL_NODES), and on the compound with twice the panels,
-    # the error reference.
-    rsup = envelope_support(params)
-    exponent = envelope_exponent(params)
-    m = min(n, PANEL_NODES)
-    x, w = gauss_legendre(m)
-
-    def weighted(panels):
-        rho = rsup * ((np.arange(panels)[:, None] + x) / panels).ravel()
-        return rho, rsup / panels * np.tile(w, panels) * np.exp(exponent(rho))
-
-    return weighted(n // m), weighted(2 * n // m)
-
-
-def _radial_rule(params: ChannelParams, radius: float):
-    return _radial_rule_n(params, radial_node_count(params, radius))
-
-
-def _radial_sum(params: ChannelParams, radius: float, kernel):
+def _radial_sum(params: ChannelParams, kernel):
     """Int_0^R_sup g(rho) kernel(rho) drho on the channel's rule, with the
     difference against the compound rule as its error."""
-    (rho, wg), (rho2, wg2) = _radial_rule(params, radius)
+    (rho, wg), (rho2, wg2) = hankel_rule(params, radial_node_count(params))
     val = float(wg @ kernel(rho))
     return val, abs(val - float(wg2 @ kernel(rho2)))
 
 
-def enclosed_mass(radius: float, params: ChannelParams) -> tuple[float, float]:
-    """Beam mass inside the given receiver radius, with quadrature error."""
-    c = params.k * radius / params.length
-    val, err = _radial_sum(params, radius, lambda rho: special.j1(c * rho))
-    return c * val, c * err
-
-
 def mean_eta_quad(params: ChannelParams) -> tuple[float, float]:
-    """Mean transmittance: aperture integral of the mean intensity."""
-    return enclosed_mass(params.aperture_radius, params)
+    """Mean transmittance: the beam mass inside the aperture, with
+    quadrature error."""
+    c = params.k * params.aperture_radius / params.length
+    val, err = _radial_sum(params, lambda rho: special.j1(c * rho))
+    return c * val, c * err
 
 
 def mass_cut_radius(params: ChannelParams) -> float:
@@ -274,7 +191,7 @@ def mass_cut_radius(params: ChannelParams) -> float:
     beta = params.k / params.length
     tail = 1.0 - MASS_FRACTION
     lo, hi = 0.0, _mass_cut_bracket(params)
-    (rho, wg), _ = _radial_rule(params, hi)
+    (rho, wg), _ = hankel_rule(params, radial_node_count(params))
 
     def mass(r):
         return beta * r * float(wg @ special.j1(beta * r * rho))
@@ -310,7 +227,7 @@ def x2_moment(radius: float, params: ChannelParams) -> tuple[float, float]:
     MASS_FRACTION of the beam mass."""
     c = params.k * radius / params.length
     tail, tail_err = _radial_sum(
-        params, radius, lambda rho: special.jv(2, c * rho) / rho)
+        params, lambda rho: special.jv(2, c * rho) / rho)
     return (0.5 * radius ** 2 * MASS_FRACTION - radius ** 2 * tail,
             radius ** 2 * tail_err)
 
@@ -370,12 +287,18 @@ def _quadrature_stats(params: ChannelParams) -> dict:
 
 def _beam_stats(fields: dict, res: QmcResult) -> BeamStats:
     """BeamStats from the quadrature fields and the mean-square estimate,
-    clamping moment-inequality violations within 3 standard errors."""
+    clamping moment-inequality violations within 3 standard errors.
+
+    diagnostics["eta2"]["bound_margin"] is (mean_eta - mean_eta2) / se of
+    the estimate before any clamp, negative when it lies above the mean_eta
+    bound (by at most 3, since more raises).
+    """
     mean_eta = fields["mean_eta"]
     diagnostics = fields["diagnostics"]
     mean_eta2 = res.value
     se_me2 = _floored(res.std_error, mean_eta2)
-    diagnostics["eta2"] = res.diagnostics
+    diagnostics["eta2"] = dict(res.diagnostics,
+                               bound_margin=(mean_eta - mean_eta2) / se_me2)
 
     clamped = []
     lo, hi = mean_eta ** 2, mean_eta

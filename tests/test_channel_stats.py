@@ -8,7 +8,9 @@ import pytest
 from scipy import integrate, optimize, special
 
 from turbchan import channel_stats
-from turbchan.errors import QuadratureNotConverged
+from turbchan.errors import QuadratureNotConverged, StatsInvariantViolation
+from turbchan.kernels import QmcResult
+from turbchan.kernels import gamma2 as gamma2_module
 from turbchan.kernels import stats as stats_module
 from turbchan.kernels.stats import (MASS_FRACTION, StatsBudget,
                                     mass_cut_radius, mean_eta_quad,
@@ -95,6 +97,38 @@ def test_clamp_path_recorded(chan1):
     st = channel_stats(chan1, seed=1)
     assert st.diagnostics.get("clamped") == ["mean_eta2->mean_eta"]
     assert st.mean_eta2 == st.mean_eta
+
+
+def _quadrature_fields(mean_eta):
+    return {"mean_eta": mean_eta, "se_mean_eta": 1e-9, "sigma_bw2": 1e-4,
+            "se_sigma_bw2": 1e-13, "wst2": 1e-3, "diagnostics": {}}
+
+
+@pytest.mark.parametrize("bound", ["mean_eta", "mean_eta^2"])
+def test_bound_violation_beyond_3se_raises(bound):
+    # A raw mean_eta2 2.9 se past either moment bound is clamped onto it;
+    # 3.1 se past it raises.
+    mean_eta, se = 0.9, 1e-3
+    edge, sign = ((mean_eta, 1.0) if bound == "mean_eta"
+                  else (mean_eta ** 2, -1.0))
+    near = stats_module._beam_stats(_quadrature_fields(mean_eta),
+                                    QmcResult(edge + 2.9 * sign * se, se, {}))
+    assert near.mean_eta2 == edge
+    assert near.diagnostics["clamped"] == ["mean_eta2->" + bound]
+    with pytest.raises(StatsInvariantViolation):
+        stats_module._beam_stats(_quadrature_fields(mean_eta),
+                                 QmcResult(edge + 3.1 * sign * se, se, {}))
+
+
+def test_bound_margin_recorded(stats1, chan1):
+    # (mean_eta - raw mean_eta2) / se, taken before the clamp: positive
+    # inside the bound, between -3 and 0 where the estimate was clamped.
+    eta2 = stats1.diagnostics["eta2"]
+    raw = eta2["mean_eta_sq"] + eta2["flux_covariance"]
+    assert eta2["bound_margin"] == (
+        (stats1.mean_eta - raw) / stats1.se_mean_eta2)
+    clamped = channel_stats(chan1, seed=1)
+    assert -3.0 <= clamped.diagnostics["eta2"]["bound_margin"] < 0.0
 
 
 def test_diagnostics_structure(stats1):
@@ -208,7 +242,7 @@ def test_rule_diagnostics(stats1, chan1):
     assert rsup < 14.0 * chan1.w0
     turb = 0.375 * chan1.cn2 * chan1.k ** 2 * chan1.length
     assert (rsup ** 2 / (2.0 * chan1.w0 ** 2) + turb * rsup ** (5.0 / 3.0)
-            == pytest.approx(stats_module.SUPPORT_EXPONENT, rel=1e-13))
+            == pytest.approx(gamma2_module.SUPPORT_EXPONENT, rel=1e-13))
     assert d["wander_nodes"] == 193
     vac = channel_stats(make_channel(0.0, 1000.0),
                         StatsBudget.from_log2_total(10), seed=0).diagnostics
@@ -219,11 +253,11 @@ def test_compound_radial_rule_matches_quadpack():
     # A 3 m aperture at 1 km needs 4096 nodes: four 1024-node panels.
     chan = make_channel(4e-14, 1000.0, aperture_radius=3.0)
     assert (stats_module.radial_node_count(chan)
-            == 4 * stats_module.PANEL_NODES)
+            == 4 * gamma2_module.PANEL_NODES)
     beta = chan.k / chan.length
     c = beta * chan.aperture_radius
     turb = 0.375 * chan.cn2 * chan.k ** 2 * chan.length
-    rsup = stats_module.envelope_support(chan)
+    rsup = gamma2_module.envelope_support(chan)
     edges = [rsup * i / 100 for i in range(101)]
     want = c * sum(_quad(lambda rho: math.exp(
         -rho * rho / (2.0 * chan.w0 ** 2) - turb * rho ** (5.0 / 3.0))
@@ -246,4 +280,4 @@ def test_radial_rule_raises_past_its_cap():
         make_channel(0.0, 1000.0, aperture_radius=a))
         for a in (0.04, 0.5, 2.0, 20.0)]
     assert counts == sorted(counts) and counts[0] < counts[-1]
-    assert counts[-1] <= stats_module.MAX_RADIAL_NODES
+    assert counts[-1] <= gamma2_module.MAX_RADIAL_NODES

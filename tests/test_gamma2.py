@@ -9,7 +9,6 @@ import pytest
 
 from turbchan import gamma2
 from turbchan.errors import QuadratureNotConverged
-from turbchan.kernels import gamma2 as gamma2_module
 
 import oracles
 from conftest import make_channel
@@ -26,7 +25,7 @@ VAC = make_channel(0.0, 1000.0)
 
 # Frozen values from tests/oracles.py (QUADPACK on the 1-D Bessel form).
 # The package evaluates the same Hankel form on a fixed Gauss-Legendre rule;
-# the two agree to about 3e-9 relative at every anchor.
+# the two agree to within 1e-8 relative at every anchor.
 ANCHORS = [
     (0.0, 1028.61076, 1e-6),
     (0.01, 712.195153, 1e-6),
@@ -85,29 +84,30 @@ def test_long_channel_on_axis():
     assert gamma2((0.0, 0.0), C4) == pytest.approx(want, rel=1e-6)
 
 
+def test_far_radius_resolved():
+    # At 1 km, |r| = 0.3 m puts 435 rad of J0 phase across the envelope
+    # support; the rule counted for that radius takes 512 nodes.
+    ref = oracles.gamma2_point(0.3, C1.cn2, C1.length)
+    checks.check_gamma2([gamma2((0.3, 0.0), C1)], [ref],
+                        checks.gamma2_atol(C1), "gamma2.far")
+
+
 def test_unresolved_phase_raises():
-    # At 1 km, |r| = 0.3 m puts 660 rad of J0 phase on the rule, which
-    # accepts at most 2.5 rad per node (320 rad).
+    # At 1 km the rule's cap of MAX_RADIAL_NODES nodes resolves |r| up to
+    # about 59 m; 100 m raises before anything is evaluated.
     with pytest.raises(QuadratureNotConverged):
-        gamma2((0.3, 0.0), C1)
+        gamma2((100.0, 0.0), C1)
 
 
 @pytest.mark.parametrize("cn2,length", [(4e-14, 1000.0), (4e-14, 4000.0),
-                                        (1e-15, 500.0)])
-def test_returns_within_tolerance_or_raises(cn2, length):
-    # Far past the beam, each radius either agrees with the adaptive
-    # reference to the benchmark's gamma2 tolerance or raises; it raises
-    # exactly where the phase guard says so.
+                                        (1e-15, 500.0), (0.0, 1000.0),
+                                        (1e-13, 1000.0)])
+def test_probe_within_tolerance(cn2, length):
+    # Far past the beam, every radius agrees with the adaptive reference to
+    # the benchmark's gamma2 tolerance; none raises.
     chan = make_channel(cn2, length)
     atol = checks.gamma2_atol(chan)
-    limit = gamma2_module.MAX_PHASE_PER_NODE * gamma2_module.HANKEL_NODES
-    for r in np.linspace(0.0, 0.6, 41):
-        phase = (chan.k / length) * r * gamma2_module.support_radius(chan)
-        try:
-            value = gamma2((float(r), 0.0), chan)
-        except QuadratureNotConverged:
-            assert phase > limit
-            continue
-        assert phase <= limit
-        ref = oracles.gamma2_point(float(r), cn2, length)
-        checks.check_gamma2([value], [ref], atol, "gamma2.probe")
+    radii = np.linspace(0.0, 0.6, 41)
+    values = [gamma2((float(r), 0.0), chan) for r in radii]
+    refs = [oracles.gamma2_point(float(r), cn2, length) for r in radii]
+    checks.check_gamma2(values, refs, atol, "gamma2.probe")

@@ -152,10 +152,11 @@ def test_sobol_points_golden_checksum():
 
 
 def test_kernels_never_import_scipy_stats(tmp_path):
-    # A fresh interpreter: the CLI tables, both QMC paths, the law build and
-    # the zero-width postselection run on numpy and scipy.special alone,
-    # leaving scipy.stats, scipy.integrate, scipy.optimize and scipy.linalg
-    # unimported, lazily or not; importing builds no quadrature rule.
+    # A fresh interpreter: the CLI tables, both QMC paths, Gamma_2 far out on
+    # its Hankel rule, the law build and the zero-width postselection run on
+    # numpy and scipy.special alone, leaving scipy.stats, scipy.integrate,
+    # scipy.optimize and scipy.linalg unimported, lazily or not; importing
+    # builds no quadrature rule.
     scenario = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "scenarios", "fig2_solid.cfg")
     code = "\n".join([
@@ -166,7 +167,7 @@ def test_kernels_never_import_scipy_stats(tmp_path):
         "assert quadrature.gauss_legendre.cache_info().currsize == 0",
         "assert quadrature.tanh_sinh.cache_info().currsize == 0",
         "from turbchan import (BeamStats, StatsBudget, channel_stats,",
-        "                      composite_pdt_build, gamma4,",
+        "                      composite_pdt_build, gamma2, gamma4,",
         "                      postselected_moments, weibull_params)",
         "from turbchan.pdt import _displacement_average",
         "from conftest import make_channel",
@@ -175,6 +176,7 @@ def test_kernels_never_import_scipy_stats(tmp_path):
         " '--no-cache', '--out-dir', %r]) == 0" % (scenario, str(tmp_path)),
         "chan = make_channel(4e-14, 4000.0)",
         "gamma4((0.0, 0.0), (0.01, 0.0), chan, log2_points=8)",
+        "gamma2((0.3, 0.0), make_channel(4e-14, 1000.0))",
         "st = channel_stats(chan, StatsBudget(eta2_log2_points=8))",
         "composite_pdt_build(st, chan.aperture_radius)",
         "wp = weibull_params(0.04, 0.05)",
