@@ -15,9 +15,8 @@ from .pdt import (CompositeMoments, CompositePdt, TruncLogNormal,
 from .tracking import (postselected_moments, tracked_exceedance, tracked_pdt,
                        transmitted_squeezing_db)
 from .qkd import (DecoyParams, KeyRateResult, averaged_key_rate,
-                  binary_entropy, extinction_transmittance, gain,
-                  key_rate_integrand, mean_loss_db, one_photon_gain_lower,
-                  qber, relative_improvement)
+                  binary_entropy, gain, key_rate_integrand, mean_loss_db,
+                  one_photon_gain_lower, qber, relative_improvement)
 from .config import Scenario, load_scenario
 from .cache import (cached_channel_stats, cached_channel_stats_many,
                     default_cache_dir, stats_cache_get, stats_cache_put,
@@ -37,7 +36,7 @@ __all__ = [
     "transmitted_squeezing_db",
     "DecoyParams", "KeyRateResult", "binary_entropy", "gain", "qber",
     "one_photon_gain_lower", "key_rate_integrand", "averaged_key_rate",
-    "relative_improvement", "extinction_transmittance", "mean_loss_db",
+    "relative_improvement", "mean_loss_db",
     "Scenario", "load_scenario",
     "stats_key", "stats_cache_get", "stats_cache_put",
     "cached_channel_stats", "cached_channel_stats_many", "default_cache_dir",

@@ -80,7 +80,10 @@ def _eta_grid(step: float) -> np.ndarray:
 
 def _stats_many(scenario: Scenario, channels, args, seeds):
     """Channel stats through the cache, one batch; (stats, hit) per channel."""
-    budget = StatsBudget.from_log2_total(scenario.budget_log2)
+    try:
+        budget = StatsBudget(scenario.budget_log2)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field="budget.log2_total") from None
     return cached_channel_stats_many(channels, budget, seed=seeds["stats"],
                                      cache_dir=args.cache_dir,
                                      enabled=not args.no_cache)
@@ -145,6 +148,12 @@ def _table_exceedance(scenario, args, seeds, diag):
 
 
 def _table_squeezing(scenario, args, seeds, diag):
+    if not scenario.postselection_eta_min:
+        raise ConfigError("the squeezing table needs thresholds",
+                          field="postselection.eta_min")
+    if not scenario.squeezing_input_db < 0.0:
+        raise ConfigError("input squeezing must be negative dB",
+                          field="squeezing.input_db")
     st, hit = _stats(scenario, scenario.channel, args, seeds)
     diag["stats"] = st.diagnostics
     law = _law(scenario, st, diag)
@@ -201,6 +210,9 @@ def _table_qkd(scenario, args, seeds, diag):
 
 
 def _table_sweep(scenario, args, seeds, diag):
+    if not scenario.sweep_lengths:
+        raise ConfigError("the sweep table needs lengths",
+                          field="sweep.lengths")
     # One batched lookup: the missing lengths share one covariance pass.
     # The workers only parallelize the per-point downstream work.
     channels = [scenario.channel.replace(length=L)

@@ -224,14 +224,7 @@ def load_scenario(path) -> Scenario:
             raise ConfigError("thresholds must lie in [0, 1)",
                               field="postselection.eta_min",
                               line=pairs["postselection.eta_min"][1])
-    if "squeezing" in outputs and not eta_min:
-        raise ConfigError("squeezing output needs postselection.eta_min",
-                          field="postselection.eta_min")
     squeezing_db = get("squeezing.input_db", -3.0)
-    if "squeezing" in outputs and not squeezing_db < 0.0:
-        raise ConfigError("input squeezing must be negative dB",
-                          field="squeezing.input_db",
-                          line=pairs["squeezing.input_db"][1])
 
     sweep_lengths = get("sweep.lengths", ())
     if sweep_lengths:
@@ -241,9 +234,6 @@ def load_scenario(path) -> Scenario:
             raise ConfigError("lengths must be positive",
                               field="sweep.lengths",
                               line=pairs["sweep.lengths"][1])
-    if "sweep" in outputs and not sweep_lengths:
-        raise ConfigError("sweep output needs sweep.lengths",
-                          field="sweep.lengths")
 
     decoy_keys = ("decoy.mu_signal", "decoy.mu_decoy", "decoy.y0",
                   "decoy.e_detector", "decoy.f_ec")

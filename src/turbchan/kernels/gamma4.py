@@ -32,14 +32,15 @@ the flux variance integral for the mean-square transmittance.
 Evaluation is randomized quasi-Monte Carlo: scrambled digital (Sobol) points,
 with the Gaussian envelope absorbed into the sampling density of the source
 variables (importance sampling) and uniform polar disk sampling for the
-aperture points. Standard errors come from independently scrambled
-replicates. The points come from :func:`sobol_points`: Joe-Kuo direction
-numbers at 30 bits, linear matrix scrambling plus a digital shift
-(Matousek, J. Complexity 14, 527, 1998), in Gray-code order. They equal
-the points of SciPy's qmc.Sobol bit for bit, but are built here in numpy,
-so they no longer depend on the installed scipy version. The plain centered
-estimator h expm1(S) with the closed-form vacuum control variate was
-measured 10x noisier on a Rytov-1.7 configuration and is not used.
+aperture points. Every estimate averages REPLICATES (16) independently
+scrambled replicates, whose scatter gives its standard error. The points
+come from :func:`sobol_points`: Joe-Kuo direction numbers at 30 bits,
+linear matrix scrambling plus a digital shift (Matousek, J. Complexity 14,
+527, 1998), in Gray-code order. They equal the points of SciPy's qmc.Sobol
+bit for bit, but are built here in numpy, so they no longer depend on the
+installed scipy version. The plain centered estimator h expm1(S) with the
+closed-form vacuum control variate was measured 10x noisier on a Rytov-1.7
+configuration and is not used.
 
 Channels that share w0 and the aperture radius share one pass over the
 points (common random numbers). Per chunk of points the disk and Gaussian
@@ -66,7 +67,7 @@ from .structure_function import (ds_colinear, ds_prefactor, ds_segment,
 
 CHUNK = 8192  # fixed evaluation block; keeps reductions worker-independent
 DEFAULT_LOG2_POINTS = 16
-DEFAULT_REPLICATES = 16
+REPLICATES = 16  # independently scrambled Sobol streams per estimate
 # Structure-function rule of the sampled segments. Against the 32-node rule
 # on the same points it moves the flux covariance by at most 0.023 standard
 # errors at 1-16 km and makes aperture_cov_qmc about 1.9x faster; its
@@ -238,26 +239,24 @@ def _scan_chunks(points, channels, disk_radius=None, fixed_uv=None):
     return out
 
 
-def _run_replicates(channels, dim, log2_points, replicates, seed, disk_radius,
-                    fixed_uv):
+def _run_replicates(channels, dim, log2_points, seed, disk_radius, fixed_uv):
     """Replicate means and diagnostics, one (value, se, diagnostics) per
     channel; every channel sees the same scrambled points."""
     per_channel = [[] for _ in channels]
-    for seed_seq in np.random.SeedSequence(seed).spawn(replicates):
+    for seed_seq in np.random.SeedSequence(seed).spawn(REPLICATES):
         pts = sobol_points(dim, log2_points, seed_seq)
         for acc, res in zip(per_channel,
                             _scan_chunks(pts, channels, disk_radius, fixed_uv)):
             acc.append(res)
-    total_points = replicates * 2 ** log2_points
+    total_points = REPLICATES * 2 ** log2_points
     out = []
     for acc in per_channel:
         means = np.asarray([m for m, _ in acc])
         value = float(np.mean(means))
-        se = (float(np.std(means, ddof=1) / math.sqrt(len(means)))
-              if len(means) > 1 else 0.0)
+        se = float(np.std(means, ddof=1) / math.sqrt(REPLICATES))
         diagnostics = {
             "points": total_points,
-            "replicates": replicates,
+            "replicates": REPLICATES,
             "log2_points": log2_points,
             "positive_s_fraction": sum(d["positive_s"] for _, d in acc)
                                    / total_points,
@@ -281,12 +280,12 @@ def _vacuum_result(value: float) -> QmcResult:
 
 
 def gamma4(r1, r2, params: ChannelParams,
-           log2_points: int = 14, replicates: int = DEFAULT_REPLICATES,
-           seed: int = 0) -> QmcResult:
+           log2_points: int = 14, seed: int = 0) -> QmcResult:
     """Intensity correlation at receiver offsets (r1, r2), in m^-4.
 
     Assembled as the product of the two mean intensities plus the sampled
-    covariance part; for cn2 = 0 the covariance integrand is identically zero
+    covariance part, on REPLICATES replicates of 2^log2_points points
+    each; for cn2 = 0 the covariance integrand is identically zero
     and the exact factorized vacuum value is returned with zero standard
     error. The quoted error covers the sampled part only. The mean-intensity
     factors come from :func:`gamma2`, whose error against the adaptive
@@ -302,14 +301,13 @@ def gamma4(r1, r2, params: ChannelParams,
             vacuum_gamma2(float(r1[0]) ** 2 + float(r1[1]) ** 2, params)
             * vacuum_gamma2(float(r2[0]) ** 2 + float(r2[1]) ** 2, params))
     product = gamma2(r1, params) * gamma2(r2, params)
-    [(mean, se, diag)] = _run_replicates([params], 6, log2_points, replicates,
-                                         seed, None, (ux, uy, vx, vy))
+    [(mean, se, diag)] = _run_replicates([params], 6, log2_points, seed, None,
+                                         (ux, uy, vx, vy))
     diag["pair_product"] = product
     return QmcResult(product + pref4 * mean, pref4 * se, diag)
 
 
 def aperture_cov_qmc_many(channels, log2_points: int = DEFAULT_LOG2_POINTS,
-                          replicates: int = DEFAULT_REPLICATES,
                           seed: int = 0) -> list:
     """Flux covariance of several channels in one pass over shared points.
 
@@ -331,8 +329,8 @@ def aperture_cov_qmc_many(channels, log2_points: int = DEFAULT_LOG2_POINTS,
                          "aperture radius")
     turbulent = [c for c in channels if ds_prefactor(c) != 0.0]
     sampled = iter(_run_replicates(
-        turbulent, 10, log2_points, replicates, seed,
-        turbulent[0].aperture_radius, None) if turbulent else ())
+        turbulent, 10, log2_points, seed, turbulent[0].aperture_radius, None)
+        if turbulent else ())
     out = []
     for params in channels:
         if ds_prefactor(params) == 0.0:
@@ -348,7 +346,6 @@ def aperture_cov_qmc_many(channels, log2_points: int = DEFAULT_LOG2_POINTS,
 
 def aperture_cov_qmc(params: ChannelParams,
                      log2_points: int = DEFAULT_LOG2_POINTS,
-                     replicates: int = DEFAULT_REPLICATES,
                      seed: int = 0) -> QmcResult:
     """Flux covariance: double aperture integral of Gamma_4 - Gamma_2 Gamma_2.
 
@@ -357,4 +354,4 @@ def aperture_cov_qmc(params: ChannelParams,
     compounding), six sample the Gaussian source variables. The mean-square
     transmittance is this value plus the squared mean transmittance.
     """
-    return aperture_cov_qmc_many([params], log2_points, replicates, seed)[0]
+    return aperture_cov_qmc_many([params], log2_points, seed)[0]

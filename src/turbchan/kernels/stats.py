@@ -53,8 +53,7 @@ from ..errors import QuadratureNotConverged, StatsInvariantViolation
 from ..quadrature import tanh_sinh
 from .gamma2 import (MAX_NEWTON_STEPS, envelope_support, hankel_nodes,
                      hankel_rule, stable_coeff)
-from .gamma4 import (DEFAULT_LOG2_POINTS, DEFAULT_REPLICATES, QmcResult,
-                     aperture_cov_qmc_many)
+from .gamma4 import REPLICATES, QmcResult, aperture_cov_qmc_many
 
 # Relative floor applied to quoted standard errors: deterministic quadrature
 # results are exact only to their tolerance, and exact closed forms (vacuum)
@@ -75,20 +74,14 @@ RADIUS_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class StatsBudget:
-    """Point budgets for the quadrature and QMC stages."""
-    eta2_log2_points: int = DEFAULT_LOG2_POINTS
-    eta2_replicates: int = DEFAULT_REPLICATES
+    """2**log2_total flux-covariance QMC points, split evenly over the
+    REPLICATES scrambled replicates; part of the stats-cache key."""
+    log2_total: int = 20
 
     def __post_init__(self):
-        if self.eta2_log2_points < 4 or self.eta2_replicates < 2:
-            raise ValueError("budget too small")
-
-    @classmethod
-    def from_log2_total(cls, log2_total: int) -> "StatsBudget":
-        """Budget with 2**log2_total QMC points split over 16 replicates."""
-        if log2_total < 8:
-            raise ValueError("log2_total must be >= 8")
-        return cls(eta2_log2_points=log2_total - 4, eta2_replicates=16)
+        if self.log2_total < 8:
+            raise ValueError("log2_total must be >= 8, got %d"
+                             % self.log2_total)
 
 
 @dataclass(frozen=True)
@@ -108,22 +101,6 @@ class BeamStats:
     se_mean_eta2: float = 0.0
     se_sigma_bw2: float = 0.0
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_eta": self.mean_eta,
-            "mean_eta2": self.mean_eta2,
-            "sigma_bw2": self.sigma_bw2,
-            "wst2": self.wst2,
-            "se_mean_eta": self.se_mean_eta,
-            "se_mean_eta2": self.se_mean_eta2,
-            "se_sigma_bw2": self.se_sigma_bw2,
-            "diagnostics": self.diagnostics,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BeamStats":
-        return cls(**d)
 
 
 def _tail_radii(params: ChannelParams, gauss_tail: float,
@@ -333,8 +310,8 @@ def channel_stats_many(channels, budget: StatsBudget | None = None,
     budget = budget or StatsBudget()
     channels = list(channels)
     fields = [_quadrature_stats(c) for c in channels]
-    covs = aperture_cov_qmc_many(channels, budget.eta2_log2_points,
-                                 budget.eta2_replicates, seed)
+    log2_points = budget.log2_total - (REPLICATES.bit_length() - 1)
+    covs = aperture_cov_qmc_many(channels, log2_points, seed)
     return [_beam_stats(f, _eta2_result(f["mean_eta"], cov))
             for f, cov in zip(fields, covs)]
 
@@ -349,9 +326,3 @@ def channel_stats(params: ChannelParams, budget: StatsBudget | None = None,
     StatsInvariantViolation. A non-positive short-term width also raises.
     """
     return channel_stats_many([params], budget, seed)[0]
-
-
-def sigma_bw2_geometric(params: ChannelParams) -> float:
-    """Diffractionless (large-k) limit of the wander integral; test oracle."""
-    return (0.625 * float(special.gamma(11.0 / 6.0))
-            * params.cn2 * params.length ** 3 * params.w0 ** (-1.0 / 3.0))

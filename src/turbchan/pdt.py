@@ -256,7 +256,6 @@ class CompositePdt:
     weibull: WeibullParams
     sigma_bw2: float
     sigma_r0: float
-    aperture_radius: float
 
     @cached_property
     def node_count(self):
@@ -307,7 +306,7 @@ def _displacement_average(n, sigma_bw, wp, xi_max=XI_CUTOFF):
                                            - n * (s * xi) ** wp.shape_lambda)))
 
 
-def _mixture(stats, a, wp, sigma_bw2):
+def _mixture(stats, wp, sigma_bw2):
     # The mixture under wandering variance sigma_bw2 whose untruncated
     # moments reproduce stats.mean_eta and stats.mean_eta2.
     sigma_bw = math.sqrt(sigma_bw2)
@@ -328,7 +327,7 @@ def _mixture(stats, a, wp, sigma_bw2):
     sigma_r0 = math.sqrt(math.log(ratio)) if ratio > 1.0 else 0.0
     if sigma_r0 < SIGMA_R0_FLOOR:
         sigma_r0 = 0.0
-    return CompositePdt(eta0, zeta0_sq, wp, sigma_bw2, sigma_r0, a)
+    return CompositePdt(eta0, zeta0_sq, wp, sigma_bw2, sigma_r0)
 
 
 def composite_pdt_build(stats, a):
@@ -383,10 +382,10 @@ def composite_pdt_build(stats, a):
     wst = math.sqrt(stats.wst2)
     ratio = a / wst
     if RATIO_RANGE[0] <= ratio <= RATIO_RANGE[1]:
-        return _mixture(stats, a, weibull_params(a, wst), stats.sigma_bw2)
+        return _mixture(stats, weibull_params(a, wst), stats.sigma_bw2)
     flat = WeibullParams(-math.expm1(-2.0 * ratio * ratio), math.inf, 2.0,
                          ratio)
-    return _mixture(stats, a, flat, 0.0)
+    return _mixture(stats, flat, 0.0)
 
 
 def composite_mu(c, r0):

@@ -5,21 +5,18 @@ one-photon gain; combined with the measured gain and error rate of the
 signal this bounds the secure key fraction per pulse.  Averaging the bound
 over the transmittance distribution yields the key rate of the turbulent
 link.  All detector arithmetic is elementary and vectorized in the
-transmittance.
+transmittance, which includes every deterministic loss: the CLI multiplies
+the sampled transmittances by ``ChannelParams.extinction_eta``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DecoyOrderingViolation, DivisionByZeroRate, DomainError
-from .pdt import CompositePdt, composite_pdt_sample
-
-DEFAULT_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -37,9 +34,6 @@ class DecoyParams:
         Misalignment error rate.
     f_ec : float
         Error-correction inefficiency, >= 1.
-    eta_d : float
-        Deterministic transmittance multiplying the fluctuating one
-        (detector efficiency and extinction losses).
     """
 
     mu_s: float = 0.27
@@ -47,7 +41,6 @@ class DecoyParams:
     y0: float = 1.7e-6
     e_det: float = 0.01
     f_ec: float = 1.2
-    eta_d: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.mu_s < self.mu_d < 1.0):
@@ -63,9 +56,6 @@ class DecoyParams:
         if self.f_ec < 1.0:
             raise DomainError("error-correction inefficiency must be >= 1, "
                               "got %g" % self.f_ec)
-        if not (0.0 < self.eta_d <= 1.0):
-            raise DomainError("deterministic transmittance must lie in "
-                              "(0, 1], got %g" % self.eta_d)
 
 
 def binary_entropy(x):
@@ -82,11 +72,10 @@ def binary_entropy(x):
 def gain(eta, mu, p):
     """Detection probability of a pulse of mean photon number mu.
 
-    Q = y0 + 1 - exp(-eta_d * eta * mu); monotone increasing in eta, mu,
-    and eta_d.
+    Q = y0 + 1 - exp(-eta * mu); monotone increasing in eta and mu.
     """
     eta_arr = np.asarray(eta, dtype=float)
-    out = p.y0 + 1.0 - np.exp(-p.eta_d * eta_arr * mu)
+    out = p.y0 + 1.0 - np.exp(-eta_arr * mu)
     return float(out) if np.ndim(eta) == 0 else out
 
 
@@ -162,11 +151,11 @@ class KeyRateResult:
 
     rate: float
     std_error: float
-    diagnostics: Optional[dict] = None
+    diagnostics: dict
 
 
-def averaged_key_rate(pdt, p, sample_count=DEFAULT_SAMPLES, seed=0):
-    """Key rate averaged over the transmittance distribution.
+def averaged_key_rate(samples, p):
+    """Key rate averaged over transmittance samples.
 
     The secure fraction is the average of the raw per-transmittance bound
     (negative values allowed inside the average, since loss events where
@@ -176,13 +165,9 @@ def averaged_key_rate(pdt, p, sample_count=DEFAULT_SAMPLES, seed=0):
 
     Parameters
     ----------
-    pdt : CompositePdt or array_like
-        Either a composite distribution (sampled here with the given count
-        and seed) or an explicit array of transmittance samples.
+    samples : array_like
+        Transmittance draws, for example from composite_pdt_sample.
     p : DecoyParams
-    sample_count : int
-        Number of draws when pdt is a CompositePdt.
-    seed : int
 
     Returns
     -------
@@ -191,13 +176,10 @@ def averaged_key_rate(pdt, p, sample_count=DEFAULT_SAMPLES, seed=0):
         the raw mean and the fractions of draws where the one-photon bound
         or the raw integrand went negative.
     """
-    if isinstance(pdt, CompositePdt):
-        samples = composite_pdt_sample(pdt, sample_count, seed)
-    else:
-        samples = np.asarray(pdt, dtype=float)
-        if samples.ndim != 1 or samples.size < 1:
-            raise DomainError("transmittance samples must be a non-empty "
-                              "1-D array")
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1 or samples.size < 1:
+        raise DomainError("transmittance samples must be a non-empty 1-D "
+                          "array")
     # The raw bound and raw integrand are computed once; the averaged
     # values and the clamp diagnostics both derive from them.
     qs, q1_raw = _one_photon_terms(samples, p)
@@ -230,15 +212,10 @@ def relative_improvement(rate_tracked, rate_untracked):
     return 1.0 - rate_untracked / rate_tracked
 
 
-def extinction_transmittance(length_m, db_per_km=1.0):
-    """Deterministic transmittance of atmospheric extinction over a path."""
-    if length_m < 0.0:
-        raise DomainError("path length must be >= 0, got %g" % length_m)
-    return 10.0 ** (-db_per_km * (length_m / 1000.0) / 10.0)
-
-
-def mean_loss_db(mean_eta, eta_d=1.0):
-    """Mean channel loss in dB, including deterministic losses."""
-    if mean_eta <= 0.0 or eta_d <= 0.0:
-        raise DomainError("transmittances must be positive")
-    return -10.0 * math.log10(eta_d * mean_eta)
+def mean_loss_db(mean_eta):
+    """Mean channel loss in dB; deterministic losses are factors of
+    mean_eta."""
+    if mean_eta <= 0.0:
+        raise DomainError("mean transmittance must be positive, got %g"
+                          % mean_eta)
+    return -10.0 * math.log10(mean_eta)

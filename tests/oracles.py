@@ -245,18 +245,18 @@ def brute_entropy(x):
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def brute_gain(eta, mu, y0=Y0, eta_d=1.0):
-    return y0 + 1.0 - math.exp(-eta_d * eta * mu)
+def brute_gain(eta, mu, y0=Y0):
+    return y0 + 1.0 - math.exp(-eta * mu)
 
 
-def brute_qber(eta, mu, y0=Y0, e_det=E_DET, eta_d=1.0):
-    q = brute_gain(eta, mu, y0, eta_d)
+def brute_qber(eta, mu, y0=Y0, e_det=E_DET):
+    q = brute_gain(eta, mu, y0)
     return (0.5 * y0 + e_det * (q - y0)) / q
 
 
-def brute_q1_lower(eta, mu_s=MU_S, mu_d=MU_D, y0=Y0, eta_d=1.0, clamp=True):
-    qs = brute_gain(eta, mu_s, y0, eta_d)
-    qd = brute_gain(eta, mu_d, y0, eta_d)
+def brute_q1_lower(eta, mu_s=MU_S, mu_d=MU_D, y0=Y0, clamp=True):
+    qs = brute_gain(eta, mu_s, y0)
+    qd = brute_gain(eta, mu_d, y0)
     pref = mu_s ** 2 * math.exp(-mu_s) / (mu_s * mu_d - mu_d ** 2)
     raw = pref * (qd * math.exp(mu_d)
                   - qs * math.exp(mu_s) * mu_d ** 2 / mu_s ** 2
@@ -267,10 +267,10 @@ def brute_q1_lower(eta, mu_s=MU_S, mu_d=MU_D, y0=Y0, eta_d=1.0, clamp=True):
 
 
 def brute_key_rate_integrand(eta, mu_s=MU_S, mu_d=MU_D, y0=Y0, e_det=E_DET,
-                             f_ec=F_EC, eta_d=1.0):
-    q1 = brute_q1_lower(eta, mu_s, mu_d, y0, eta_d)
-    qs = brute_gain(eta, mu_s, y0, eta_d)
-    es = brute_qber(eta, mu_s, y0, e_det, eta_d)
+                             f_ec=F_EC):
+    q1 = brute_q1_lower(eta, mu_s, mu_d, y0)
+    qs = brute_gain(eta, mu_s, y0)
+    es = brute_qber(eta, mu_s, y0, e_det)
     raw = q1 * (1.0 - brute_entropy(es)) - qs * f_ec * brute_entropy(es)
     return 0.5 * max(0.0, raw)
 

@@ -52,7 +52,7 @@ def test_criterion_1_rytov_anchors():
 def test_criterion_2_vacuum_limit():
     closed = {1000.0: 0.999999997325, 2000.0: 0.992808116644,
               3000.0: 0.888445879753}
-    budget = StatsBudget.from_log2_total(10)
+    budget = StatsBudget(10)
     worst = 0.0
     ok = True
     for length, want in closed.items():

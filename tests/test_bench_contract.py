@@ -44,7 +44,7 @@ def test_tracer_hooks_run_cleanly(tmp_path):
             assert cli.main(["sweep", str(sweep)] + common) == 0
         # The library entry points whose hooks read arguments or results.
         chan = make_channel(4e-14, 1000.0)
-        turbchan.channel_stats(chan, turbchan.StatsBudget.from_log2_total(10))
+        turbchan.channel_stats(chan, turbchan.StatsBudget(10))
         turbchan.kernels.aperture_cov_qmc(chan, log2_points=8)
         turbchan.gamma4((0.01, 0.0), (0.0, 0.005), chan, log2_points=8)
     finally:

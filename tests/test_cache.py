@@ -10,7 +10,7 @@ from turbchan import (ChannelParams, StatsBudget, cached_channel_stats,
                       default_cache_dir, stats_cache_get, stats_cache_put,
                       stats_key)
 
-BUDGET = StatsBudget.from_log2_total(10)
+BUDGET = StatsBudget(10)
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,7 @@ def test_key_shape_and_sensitivity(chan):
     assert len(key) == 64 and all(c in "0123456789abcdef" for c in key)
     assert key == stats_key(chan, BUDGET, 0)
     assert key != stats_key(chan, BUDGET, 1)
-    assert key != stats_key(chan, StatsBudget.from_log2_total(11), 0)
+    assert key != stats_key(chan, StatsBudget(11), 0)
     other = ChannelParams(cn2=3e-15, wavelength=800e-9, length=1000.0,
                           w0=0.02, aperture_radius=0.04)
     assert key != stats_key(other, BUDGET, 0)

@@ -14,10 +14,10 @@ from turbchan.kernels import gamma2 as gamma2_module
 from turbchan.kernels import stats as stats_module
 from turbchan.kernels.stats import (MASS_FRACTION, StatsBudget,
                                     mass_cut_radius, mean_eta_quad,
-                                    sigma_bw2_geometric, sigma_bw2_quad,
-                                    x2_moment)
+                                    sigma_bw2_quad, x2_moment)
 
 from conftest import make_channel
+from oracles import sigma_bw2_geometric
 
 # Frozen from tests/oracles.py: pointwise-Bessel profile integrated with
 # adaptive quadrature, tilt integral via QUADPACK.
@@ -47,9 +47,8 @@ def test_quadrature_anchors(name):
 
 
 def test_wander_geometric_limit():
-    chan = make_channel(4e-14, 1000.0)
-    assert sigma_bw2_geometric(chan) == pytest.approx(8.663514528e-05,
-                                                      rel=1e-9)
+    assert sigma_bw2_geometric(4e-14, 1000.0, 0.02) == pytest.approx(
+        8.663514528e-05, rel=1e-9)
 
 
 @pytest.mark.parametrize("fixture", ["stats1", "stats2", "stats3"])
@@ -69,7 +68,7 @@ def test_wst2_anchor(stats1, stats2, stats3):
 
 def test_vacuum_closed_form():
     chan = make_channel(0.0, 2000.0)
-    st = channel_stats(chan, StatsBudget.from_log2_total(10), seed=0)
+    st = channel_stats(chan, StatsBudget(10), seed=0)
     closed = 1.0 - math.exp(-2.0 * 0.04 ** 2 / chan.w_vac ** 2)
     assert closed == pytest.approx(0.992808116644, rel=1e-10)
     assert st.mean_eta == pytest.approx(closed, abs=1e-4)
@@ -79,7 +78,7 @@ def test_vacuum_closed_form():
 
 
 def test_determinism(chan1):
-    budget = StatsBudget.from_log2_total(14)
+    budget = StatsBudget(14)
     a = channel_stats(chan1, budget, seed=5)
     b = channel_stats(chan1, budget, seed=5)
     c = channel_stats(chan1, budget, seed=6)
@@ -245,7 +244,7 @@ def test_rule_diagnostics(stats1, chan1):
             == pytest.approx(gamma2_module.SUPPORT_EXPONENT, rel=1e-13))
     assert d["wander_nodes"] == 193
     vac = channel_stats(make_channel(0.0, 1000.0),
-                        StatsBudget.from_log2_total(10), seed=0).diagnostics
+                        StatsBudget(10), seed=0).diagnostics
     assert vac["radial_support_m"] == pytest.approx(14.0 * 0.02, rel=1e-15)
 
 
@@ -274,7 +273,7 @@ def test_radial_rule_raises_past_its_cap():
     with pytest.raises(QuadratureNotConverged):
         mean_eta_quad(big)
     with pytest.raises(QuadratureNotConverged):
-        channel_stats(big, StatsBudget.from_log2_total(10), seed=0)
+        channel_stats(big, StatsBudget(10), seed=0)
     # Below the cap the count doubles with the aperture.
     counts = [stats_module.radial_node_count(
         make_channel(0.0, 1000.0, aperture_radius=a))

@@ -284,6 +284,61 @@ def test_config_error_exit_code(tmp_path):
     assert main(["stats", cfg, "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def config_error(table, cfg, tmp_path, capsys, extra=()):
+    """Run a table that must fail as a config error before writing any
+    output; returns its stderr."""
+    out = tmp_path / "o"
+    rc = main([table, cfg, "--no-cache", "--out-dir", str(out)] + list(extra))
+    assert rc == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_squeezing_needs_thresholds(tmp_path, capsys):
+    cfg = turb_cfg(tmp_path, "squeezing")
+    assert "postselection.eta_min" in config_error("squeezing", cfg,
+                                                   tmp_path, capsys)
+
+
+def test_squeezing_input_must_be_negative(tmp_path, capsys):
+    cfg = turb_cfg(tmp_path, "squeezing", extra=[
+        "postselection.eta_min = 0.3", "squeezing.input_db = 0"])
+    assert "squeezing.input_db" in config_error("squeezing", cfg, tmp_path,
+                                                capsys)
+
+
+def test_sweep_needs_lengths(tmp_path, capsys):
+    cfg = turb_cfg(tmp_path, "sweep")
+    assert "sweep.lengths" in config_error("sweep", cfg, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("table,key", [
+    ("squeezing", "postselection.eta_min"),
+    ("sweep", "sweep.lengths"),
+])
+def test_table_needs_its_keys_whatever_outputs_lists(table, key, tmp_path,
+                                                     capsys):
+    # vacuum.cfg lists neither table and sets neither key; run anyway, the
+    # table names the key instead of writing a header-only CSV.
+    cfg = str(SCENARIOS / "vacuum.cfg")
+    assert key in config_error(table, cfg, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("extra,argv", [
+    (["budget.log2_total = 7"], []),
+    ([], ["--budget", "5"]),
+])
+def test_budget_below_minimum_is_config_error(extra, argv, tmp_path,
+                                              capsys):
+    cfg = write_cfg(tmp_path, [
+        "scenario.outputs = stats",
+        "channel.cn2 = 4e-14",
+        "channel.length = 1 km",
+    ] + GEOM + extra)
+    assert "budget.log2_total" in config_error("stats", cfg, tmp_path,
+                                               capsys, argv)
+
+
 def test_missing_scenario_exit_code(tmp_path):
     missing = str(tmp_path / "nope.cfg")
     assert main(["stats", missing, "--out-dir", str(tmp_path / "o")]) == 5

@@ -224,7 +224,7 @@ def fig2_traffic(comp1):
     from turbchan import channel_stats_many
     from turbchan.kernels.stats import StatsBudget
     stats = channel_stats_many([make_channel(4e-14, L) for L in FIG2_LENGTHS],
-                               StatsBudget.from_log2_total(12), seed=0)
+                               StatsBudget(12), seed=0)
     return [comp1] + [composite_pdt_build(st, 0.04) for st in stats]
 
 
@@ -311,7 +311,7 @@ def test_rule_stops_below_resolved_transmittance(monkeypatch):
     from turbchan.pdt import CompositePdt, WeibullParams
     sig = 1.0
     c = CompositePdt(0.98, 0.98 ** 2 * math.exp(sig * sig),
-                     WeibullParams(0.98, 1.0, 16.0, 8.0), 0.2 ** 2, sig, 1.0)
+                     WeibullParams(0.98, 1.0, 16.0, 8.0), 0.2 ** 2, sig)
     grid = np.concatenate([np.logspace(-12, -3, 50),
                            np.linspace(0.001, 1.0, 200)])
     node_count = pdt._node_count

@@ -218,29 +218,6 @@ def test_eta_min_range(tmp_path):
     assert err.field == "postselection.eta_min"
 
 
-def test_squeezing_needs_thresholds(tmp_path):
-    lines = list(BASE)
-    lines[2] = "scenario.outputs = squeezing"
-    err = load_error(tmp_path, lines)
-    assert err.field == "postselection.eta_min"
-
-
-def test_squeezing_input_must_be_negative(tmp_path):
-    lines = list(BASE)
-    lines[2] = "scenario.outputs = squeezing"
-    lines += ["postselection.eta_min = 0.3", "squeezing.input_db = 0"]
-    err = load_error(tmp_path, lines)
-    assert err.field == "squeezing.input_db"
-    assert err.line == 10
-
-
-def test_sweep_needs_lengths(tmp_path):
-    lines = list(BASE)
-    lines[2] = "scenario.outputs = sweep"
-    err = load_error(tmp_path, lines)
-    assert err.field == "sweep.lengths"
-
-
 @pytest.mark.parametrize("value", ["2 km, 1 km", "-1 km, 2 km"])
 def test_sweep_lengths_validated(tmp_path, value):
     err = load_error(tmp_path, BASE + ["sweep.lengths = %s" % value])

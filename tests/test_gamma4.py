@@ -23,7 +23,7 @@ from conftest import make_channel
 C1 = make_channel(4e-14, 1000.0)
 VAC = make_channel(0.0, 1000.0)
 
-FAST = dict(log2_points=12, replicates=8)
+FAST = dict(log2_points=12)
 # sha256 of the little-endian float64 bytes of sobol_points(10, 12, first
 # replicate stream of seed 0).
 GOLDEN_SHA256 = ("4072846d5fdae62eb57a885ea847a0b2"
@@ -79,8 +79,8 @@ def test_kernel_modules_are_not_shadowed():
 def test_diagnostics_shape():
     g = gamma4((0.0, 0.0), (0.01, 0.0), C1, **FAST)
     d = g.diagnostics
-    assert d["points"] == 8 * 2 ** 12
-    assert d["replicates"] == 8
+    assert d["points"] == 16 * 2 ** 12
+    assert d["replicates"] == 16
     assert d["positive_s_fraction"] <= 1e-6
     assert "pair_product" in d and d["pair_product"] > 0.0
 
@@ -90,9 +90,9 @@ def test_segment_rule_shift_is_below_noise(monkeypatch):
     # rule on the same points (common random numbers): the covariance moves
     # by far less than its standard error.
     chan = make_channel(4e-14, 4000.0)
-    short = aperture_cov_qmc(chan, log2_points=12, replicates=16)
+    short = aperture_cov_qmc(chan, log2_points=12)
     monkeypatch.setattr(gamma4_module, "SEGMENT_RULE", (GL_NODES, GL_WEIGHTS))
-    full = aperture_cov_qmc(chan, log2_points=12, replicates=16)
+    full = aperture_cov_qmc(chan, log2_points=12)
     assert short.diagnostics["gl_nodes"] == 8
     assert full.diagnostics["gl_nodes"] == 32
     assert abs(short.value - full.value) < 0.1 * full.std_error
@@ -102,10 +102,10 @@ def test_shared_pass_matches_single_channel_calls():
     # One pass over the shared points for several lengths and vacuum gives
     # each channel exactly its one-channel result.
     chans = [make_channel(4e-14, L) for L in (1000.0, 4000.0, 16000.0)] + [VAC]
-    batch = aperture_cov_qmc_many(chans, log2_points=12, replicates=16)
+    batch = aperture_cov_qmc_many(chans, log2_points=12)
     assert len(batch) == len(chans)
     for chan, got in zip(chans, batch):
-        one = aperture_cov_qmc(chan, log2_points=12, replicates=16)
+        one = aperture_cov_qmc(chan, log2_points=12)
         assert got.value == one.value
         assert got.std_error == one.std_error
         assert got.diagnostics == one.diagnostics
@@ -177,7 +177,7 @@ def test_kernels_never_import_scipy_stats(tmp_path):
         "chan = make_channel(4e-14, 4000.0)",
         "gamma4((0.0, 0.0), (0.01, 0.0), chan, log2_points=8)",
         "gamma2((0.3, 0.0), make_channel(4e-14, 1000.0))",
-        "st = channel_stats(chan, StatsBudget(eta2_log2_points=8))",
+        "st = channel_stats(chan, StatsBudget(12))",
         "composite_pdt_build(st, chan.aperture_radius)",
         "wp = weibull_params(0.04, 0.05)",
         "i1, i2 = (_displacement_average(n, math.sqrt(8.4e-5), wp)",

@@ -20,7 +20,7 @@ A = GEOMETRY["aperture_radius"]
 def stats8():
     # The fig2 channel at 8 km: a/W_ST = 0.047, below the Weibull window.
     return channel_stats(make_channel(4e-14, 8000.0),
-                         StatsBudget.from_log2_total(10), seed=0)
+                         StatsBudget(10), seed=0)
 
 
 @pytest.fixture(scope="module")

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_channel
 from oracles import (brute_gain, brute_key_rate_integrand, brute_q1_lower,
                      brute_qber, q1_zero_eta_exact)
 from turbchan import (DecoyParams, averaged_key_rate, binary_entropy,
-                      composite_pdt_sample, extinction_transmittance, gain,
-                      key_rate_integrand, mean_loss_db, one_photon_gain_lower,
-                      qber, relative_improvement)
+                      composite_pdt_sample, gain, key_rate_integrand,
+                      mean_loss_db, one_photon_gain_lower, qber,
+                      relative_improvement)
 from turbchan.errors import (DecoyOrderingViolation, DivisionByZeroRate,
                              DomainError)
 
@@ -52,19 +53,18 @@ def test_brute_force_match_default_params():
 
 
 def test_brute_force_match_alternate_params():
-    p = DecoyParams(mu_s=0.2, mu_d=0.35, y0=5e-6, e_det=0.02, f_ec=1.1,
-                    eta_d=0.8)
+    p = DecoyParams(mu_s=0.2, mu_d=0.35, y0=5e-6, e_det=0.02, f_ec=1.1)
     rng = np.random.default_rng(8)
     for e in rng.uniform(1e-6, 1.0, 25):
         e = float(e)
         assert gain(e, p.mu_s, p) == pytest.approx(
-            brute_gain(e, 0.2, 5e-6, 0.8), rel=1e-12)
+            brute_gain(e, 0.2, 5e-6), rel=1e-12)
         assert qber(e, p.mu_s, p) == pytest.approx(
-            brute_qber(e, 0.2, 5e-6, 0.02, 0.8), rel=1e-12)
+            brute_qber(e, 0.2, 5e-6, 0.02), rel=1e-12)
         assert one_photon_gain_lower(e, p) == pytest.approx(
-            brute_q1_lower(e, 0.2, 0.35, 5e-6, 0.8), rel=1e-12)
+            brute_q1_lower(e, 0.2, 0.35, 5e-6), rel=1e-12)
         assert key_rate_integrand(e, p) == pytest.approx(
-            brute_key_rate_integrand(e, 0.2, 0.35, 5e-6, 0.02, 1.1, 0.8),
+            brute_key_rate_integrand(e, 0.2, 0.35, 5e-6, 0.02, 1.1),
             rel=1e-12, abs=1e-300)
 
 
@@ -85,8 +85,6 @@ def test_decoy_ordering_enforced(kwargs):
     dict(e_det=-0.01),
     dict(e_det=0.51),
     dict(f_ec=0.99),
-    dict(eta_d=0.0),
-    dict(eta_d=1.1),
 ])
 def test_decoy_domain_enforced(kwargs):
     with pytest.raises(DomainError):
@@ -187,18 +185,11 @@ def test_averaged_rate_rejects_bad_samples(bad):
         averaged_key_rate(bad, P)
 
 
-def test_averaged_rate_composite_route_matches_explicit(comp1):
-    draws = composite_pdt_sample(comp1, 400, seed=9)
-    via_pdt = averaged_key_rate(comp1, P, sample_count=400, seed=9)
-    via_arr = averaged_key_rate(draws, P)
-    assert via_pdt.rate == via_arr.rate
-    assert via_pdt.std_error == via_arr.std_error
-
-
 def test_averaged_rate_deterministic(comp1):
-    r1 = averaged_key_rate(comp1, P, sample_count=300, seed=5)
-    r2 = averaged_key_rate(comp1, P, sample_count=300, seed=5)
-    r3 = averaged_key_rate(comp1, P, sample_count=300, seed=6)
+    def rate(seed):
+        return averaged_key_rate(composite_pdt_sample(comp1, 300, seed), P)
+
+    r1, r2, r3 = rate(5), rate(5), rate(6)
     assert r1.rate == r2.rate
     assert r1.rate != r3.rate
 
@@ -214,18 +205,11 @@ def test_relative_improvement():
 
 
 def test_extinction_and_loss_scales():
-    assert extinction_transmittance(0.0) == 1.0
-    assert extinction_transmittance(1000.0) == pytest.approx(10 ** -0.1,
-                                                             rel=1e-15)
-    assert extinction_transmittance(3000.0, db_per_km=2.0) == pytest.approx(
-        10 ** -0.6, rel=1e-15)
-    with pytest.raises(DomainError):
-        extinction_transmittance(-1.0)
+    # The channel owns the extinction factor; the loss is its dB scale.
+    chan = make_channel(4e-14, 3000.0, extinction_db_per_km=2.0)
+    assert mean_loss_db(chan.extinction_eta) == pytest.approx(6.0,
+                                                             rel=1e-14)
     assert mean_loss_db(1.0) == 0.0
     assert mean_loss_db(0.1) == pytest.approx(10.0, rel=1e-14)
-    assert mean_loss_db(0.5, eta_d=0.5) == pytest.approx(
-        -10.0 * np.log10(0.25), rel=1e-14)
     with pytest.raises(DomainError):
         mean_loss_db(0.0)
-    with pytest.raises(DomainError):
-        mean_loss_db(0.5, eta_d=0.0)

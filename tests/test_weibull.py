@@ -23,8 +23,7 @@ ANCHOR = (0.721962699547, 0.0480900814013, 2.11741313303)
 
 def wandering_only(wp, sigma_bw2):
     # Point components on the attenuation law under Rayleigh wandering.
-    return CompositePdt(wp.eta0_max, wp.eta0_max ** 2, wp, sigma_bw2, 0.0,
-                        0.04)
+    return CompositePdt(wp.eta0_max, wp.eta0_max ** 2, wp, sigma_bw2, 0.0)
 
 
 def test_params_anchor():
