@@ -2,8 +2,9 @@
 
 Each subcommand produces one table. CSV bodies are deterministic for a given
 scenario and seed (comma-separated, LF endings, 9 significant digits); the
-manifest records inputs, derived seeds, versions, cache activity and stage
-diagnostics, with its timestamp being the only run-to-run variable part.
+manifest records inputs, derived seeds, versions, cache activity, stage
+diagnostics and timings; its timestamp and timings are the only parts that
+vary from run to run.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .config import Scenario, load_scenario
 from .errors import (ApproximationBreakdown, ConfigError,
                      QuadratureNotConverged, TurbchanError)
 from .kernels import KERNEL_VERSION
+from .kernels.gamma4 import qmc_threads
 from .kernels.stats import StatsBudget
 from .pdt import (composite_pdt_build, composite_pdt_density,
                   composite_pdt_sample)
@@ -78,20 +80,26 @@ def _eta_grid(step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
-def _stats_many(scenario: Scenario, channels, args, seeds):
-    """Channel stats through the cache, one batch; (stats, hit) per channel."""
+def _stats_many(scenario: Scenario, channels, args, seeds, timings):
+    """Channel stats through the cache, one batch; (stats, hit) per channel.
+
+    Adds the seconds of the lookup, QMC included, to timings["stats_s"].
+    """
     try:
         budget = StatsBudget(scenario.budget_log2)
     except ValueError as exc:
         raise ConfigError(str(exc), field="budget.log2_total") from None
-    return cached_channel_stats_many(channels, budget, seed=seeds["stats"],
-                                     cache_dir=args.cache_dir,
-                                     enabled=not args.no_cache)
+    t0 = time.perf_counter()
+    out = cached_channel_stats_many(channels, budget, seed=seeds["stats"],
+                                    cache_dir=args.cache_dir,
+                                    enabled=not args.no_cache)
+    timings["stats_s"] += time.perf_counter() - t0
+    return out
 
 
-def _stats(scenario: Scenario, channel, args, seeds):
+def _stats(scenario: Scenario, channel, args, seeds, timings):
     """Channel stats through the cache; returns (stats, cache hit flag)."""
-    return _stats_many(scenario, [channel], args, seeds)[0]
+    return _stats_many(scenario, [channel], args, seeds, timings)[0]
 
 
 def _law(scenario: Scenario, st, diag):
@@ -103,9 +111,9 @@ def _law(scenario: Scenario, st, diag):
     return law
 
 
-def _table_stats(scenario, args, seeds, diag):
+def _table_stats(scenario, args, seeds, diag, timings):
     channel = scenario.channel
-    st, hit = _stats(scenario, channel, args, seeds)
+    st, hit = _stats(scenario, channel, args, seeds, timings)
     diag["stats"] = st.diagnostics
     header = ["scenario_id", "seed", "cn2", "length_m", "mean_eta",
               "se_mean_eta", "mean_eta2", "se_mean_eta2", "sigma_bw2",
@@ -116,8 +124,8 @@ def _table_stats(scenario, args, seeds, diag):
     return header, [row], [hit]
 
 
-def _table_pdt(scenario, args, seeds, diag):
-    st, hit = _stats(scenario, scenario.channel, args, seeds)
+def _table_pdt(scenario, args, seeds, diag, timings):
+    st, hit = _stats(scenario, scenario.channel, args, seeds, timings)
     diag["stats"] = st.diagnostics
     law = _law(scenario, st, diag)
     grid = _eta_grid(scenario.eta_step)
@@ -129,8 +137,8 @@ def _table_pdt(scenario, args, seeds, diag):
     return header, rows, [hit]
 
 
-def _table_exceedance(scenario, args, seeds, diag):
-    st, hit = _stats(scenario, scenario.channel, args, seeds)
+def _table_exceedance(scenario, args, seeds, diag, timings):
+    st, hit = _stats(scenario, scenario.channel, args, seeds, timings)
     diag["stats"] = st.diagnostics
     law = _law(scenario, st, diag)
     grid = _eta_grid(scenario.eta_step)
@@ -147,14 +155,14 @@ def _table_exceedance(scenario, args, seeds, diag):
     return header, rows, [hit]
 
 
-def _table_squeezing(scenario, args, seeds, diag):
+def _table_squeezing(scenario, args, seeds, diag, timings):
     if not scenario.postselection_eta_min:
         raise ConfigError("the squeezing table needs thresholds",
                           field="postselection.eta_min")
     if not scenario.squeezing_input_db < 0.0:
         raise ConfigError("input squeezing must be negative dB",
                           field="squeezing.input_db")
-    st, hit = _stats(scenario, scenario.channel, args, seeds)
+    st, hit = _stats(scenario, scenario.channel, args, seeds, timings)
     diag["stats"] = st.diagnostics
     law = _law(scenario, st, diag)
     header = ["scenario_id", "seed", "fraction", "eta_min", "acceptance",
@@ -202,14 +210,14 @@ def _qkd_point(scenario, channel, st, seeds):
     return row, point_diag
 
 
-def _table_qkd(scenario, args, seeds, diag):
-    st, hit = _stats(scenario, scenario.channel, args, seeds)
+def _table_qkd(scenario, args, seeds, diag, timings):
+    st, hit = _stats(scenario, scenario.channel, args, seeds, timings)
     row, point_diag = _qkd_point(scenario, scenario.channel, st, seeds)
     diag["points"] = [point_diag]
     return QKD_HEADER, [row], [hit]
 
 
-def _table_sweep(scenario, args, seeds, diag):
+def _table_sweep(scenario, args, seeds, diag, timings):
     if not scenario.sweep_lengths:
         raise ConfigError("the sweep table needs lengths",
                           field="sweep.lengths")
@@ -217,7 +225,7 @@ def _table_sweep(scenario, args, seeds, diag):
     # The workers only parallelize the per-point downstream work.
     channels = [scenario.channel.replace(length=L)
                 for L in scenario.sweep_lengths]
-    looked_up = _stats_many(scenario, channels, args, seeds)
+    looked_up = _stats_many(scenario, channels, args, seeds, timings)
     stats = [st for st, _ in looked_up]
     workers = max(1, getattr(args, "workers", 1))
 
@@ -252,14 +260,19 @@ def _run(args) -> int:
         scenario = dataclasses.replace(scenario, budget_log2=args.budget)
     seeds = _derived_seeds(scenario.seed)
     diag = {}
+    timings = {"stats_s": 0.0}
+    t0 = time.perf_counter()
 
     # Tables return one cache-hit flag per stats lookup.
-    header, rows, hits = _TABLES[args.command](scenario, args, seeds, diag)
+    header, rows, hits = _TABLES[args.command](scenario, args, seeds, diag,
+                                               timings)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / ("%s_%s.csv" % (scenario.scenario_id, args.command))
     _write_csv(csv_path, header, rows)
+    timings["table_s"] = time.perf_counter() - t0 - timings["stats_s"]
+    timings["qmc_threads"] = qmc_threads()
 
     cache_dir = args.cache_dir if args.cache_dir else str(default_cache_dir())
     manifest = {
@@ -280,6 +293,7 @@ def _run(args) -> int:
                   "hits": sum(hits), "misses": len(hits) - sum(hits)},
         "diagnostics": diag,
         "outputs": [csv_path.name],
+        "timings": timings,
         "written_at": time.time(),
     }
     manifest_path = out_dir / ("%s_%s_manifest.json"

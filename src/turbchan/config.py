@@ -26,9 +26,6 @@ _UNIT_EXPONENT = {
 _NUMBER_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([a-zA-Z]*)\s*$")
 
-OUTPUT_NAMES = ("stats", "pdt", "exceedance", "squeezing", "qkd", "sweep")
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One validated scenario file, ready to run.
@@ -42,7 +39,6 @@ class Scenario:
 
     scenario_id: str
     seed: int
-    outputs: tuple
     channel: ChannelParams
     budget_log2: int
     pdt_sample_count: int
@@ -120,11 +116,10 @@ def _read_pairs(path):
 
 
 # key -> (kind, required). Kinds: float (no unit), length (unit suffix ok),
-# int, str, list_float, list_length, str_list.
+# int, str, list_float, list_length.
 _SCHEMA = {
     "scenario.id": ("str", False),
     "scenario.seed": ("int", False),
-    "scenario.outputs": ("str_list", True),
     "channel.cn2": ("float", True),
     "channel.wavelength": ("length", True),
     "channel.length": ("length", True),
@@ -175,21 +170,7 @@ def load_scenario(path) -> Scenario:
             return _parse_number(value, key, line, "length")
         if kind == "list_float":
             return _parse_list(value, key, line, "none")
-        if kind == "list_length":
-            return _parse_list(value, key, line, "length")
-        return tuple(s.strip() for s in value.split(","))
-
-    outputs = get("scenario.outputs")
-    if not outputs or outputs == ("",):
-        raise ConfigError("at least one output is required",
-                          field="scenario.outputs",
-                          line=pairs["scenario.outputs"][1])
-    for name in outputs:
-        if name not in OUTPUT_NAMES:
-            raise ConfigError(
-                "unknown output %r (choose from %s)" % (name,
-                                                        ", ".join(OUTPUT_NAMES)),
-                field="scenario.outputs", line=pairs["scenario.outputs"][1])
+        return _parse_list(value, key, line, "length")
 
     channel_kwargs = dict(
         cn2=get("channel.cn2"),
@@ -269,7 +250,6 @@ def load_scenario(path) -> Scenario:
     return Scenario(
         scenario_id=get("scenario.id", Path(path).stem),
         seed=get("scenario.seed", 0),
-        outputs=tuple(outputs),
         channel=channel,
         budget_log2=budget_log2,
         pdt_sample_count=sample_count,

@@ -38,9 +38,14 @@ come from :func:`sobol_points`: Joe-Kuo direction numbers at 30 bits,
 linear matrix scrambling plus a digital shift (Matousek, J. Complexity 14,
 527, 1998), in Gray-code order. They equal the points of SciPy's qmc.Sobol
 bit for bit, but are built here in numpy, so they no longer depend on the
-installed scipy version. The plain centered estimator h expm1(S) with the
-closed-form vacuum control variate was measured 10x noisier on a Rytov-1.7
-configuration and is not used.
+installed scipy version. Each replicate streams its points one CHUNK
+(8192 points) at a time, so its point memory does not grow with the point
+count, and the replicates run on a pool of up to min(REPLICATES, CPUs)
+threads. Seeds are spawned before the pool starts, chunk boundaries are
+fixed and results are collected in replicate order, so every estimate is
+the same to the bit on any number of threads. The plain centered estimator
+h expm1(S) with the closed-form vacuum control variate was measured 10x
+noisier on a Rytov-1.7 configuration and is not used.
 
 Channels that share w0 and the aperture radius share one pass over the
 points (common random numbers). Per chunk of points the disk and Gaussian
@@ -55,6 +60,8 @@ its pass.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +72,11 @@ from .gamma2 import gamma2
 from .structure_function import (ds_colinear, ds_prefactor, ds_segment,
                                  gauss_legendre_01)
 
-CHUNK = 8192  # fixed evaluation block; keeps reductions worker-independent
+# Points per generated Sobol block and per evaluation block. Fixed, so that
+# every reduction sums the same blocks in the same order on any number of
+# threads; a replicate holds one block of points at a time.
+CHUNK_BITS = 13
+CHUNK = 1 << CHUNK_BITS
 DEFAULT_LOG2_POINTS = 16
 REPLICATES = 16  # independently scrambled Sobol streams per estimate
 # Structure-function rule of the sampled segments. Against the 32-node rule
@@ -73,6 +84,15 @@ REPLICATES = 16  # independently scrambled Sobol streams per estimate
 # errors at 1-16 km and makes aperture_cov_qmc about 1.9x faster; its
 # quadrature error is tabulated in the structure_function module docstring.
 SEGMENT_RULE = gauss_legendre_01(8)
+
+
+def qmc_threads() -> int:
+    """Threads that run the replicates: the usable CPUs, at most REPLICATES."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(REPLICATES, cpus)
 
 
 @dataclass(frozen=True)
@@ -148,17 +168,24 @@ _DIRECTIONS = _direction_numbers()
 
 
 def sobol_points(dim, log2_points, seed_seq):
-    """2^log2_points scrambled Sobol points in [0, 1)^dim, float64.
+    """The 2^log2_points scrambled Sobol points in [0, 1)^dim, float64,
+    yielded as point-major blocks of at most CHUNK points.
 
     Linear matrix scrambling plus a digital shift, drawn from the first
     child of ``seed_seq`` in this order: the dim x 30 shift bits, then dim
     lower-triangular 30 x 30 bit matrices with a unit diagonal. Bit p from
     the top of a scrambled direction number is the parity of matrix row p
-    AND the unscrambled number. The points run in Gray-code order from the
-    shift. This is SciPy's qmc.Sobol(dim, scramble=True,
+    AND the unscrambled number. Point i is the shift XORed with the
+    scrambled direction numbers of the set bits of gray(i) = i ^ (i >> 1).
+    Concatenated, the blocks are SciPy's qmc.Sobol(dim, scramble=True,
     rng=default_rng(seed_seq)).random_base2(log2_points) bit for bit, for a
     ``seed_seq`` not yet spawned from; unlike that call, this one does not
     spawn from ``seed_seq``, so equal arguments give equal points.
+
+    Only the first block is built, by Gray-code doubling. For lo a multiple
+    of CHUNK and j < CHUNK, gray(lo + j) = gray(lo) ^ gray(j), so the block
+    at lo is the first block XORed with the direction numbers of the set
+    bits of gray(lo); lo >> 1 contributes bit CHUNK_BITS - 1 to those.
     """
     child = np.random.SeedSequence(seed_seq.entropy,
                                    spawn_key=seed_seq.spawn_key + (0,),
@@ -175,37 +202,45 @@ def sobol_points(dim, log2_points, seed_seq):
         x ^= x >> np.uint32(s)
     directions = ((x & np.uint32(1)) << _TOP_FIRST[:, None]).sum(
         axis=1, dtype=np.uint32)
-    # Built per dimension (contiguous rows), returned point-major like scipy.
-    q = np.empty((dim, 1 << log2_points), dtype=np.uint32)
-    q[:, 0] = shift
-    for k in range(log2_points):
+    # Built per dimension (contiguous rows), yielded point-major like scipy.
+    first_bits = min(log2_points, CHUNK_BITS)
+    first = np.empty((dim, 1 << first_bits), dtype=np.uint32)
+    first[:, 0] = shift
+    for k in range(first_bits):
         h = 1 << k
-        np.bitwise_xor(q[:, h - 1::-1], directions[:, k:k + 1],
-                       out=q[:, h:2 * h])
-    points = np.empty(q.shape[::-1])
-    np.multiply(q.T, 1.0 / (1 << SOBOL_BITS), out=points)
-    return points
+        np.bitwise_xor(first[:, h - 1::-1], directions[:, k:k + 1],
+                       out=first[:, h:2 * h])
+    for lo in range(0, 1 << log2_points, CHUNK):
+        gray = lo ^ (lo >> 1)
+        offset = np.zeros((dim, 1), dtype=np.uint32)
+        for k in range(log2_points):
+            if gray >> k & 1:
+                offset ^= directions[:, k:k + 1]
+        block = np.empty(first.shape[::-1])
+        np.multiply((first ^ offset).T, 1.0 / (1 << SOBOL_BITS), out=block)
+        yield block
 
 
-def _scan_chunks(points, channels, disk_radius=None, fixed_uv=None):
+def _scan_chunks(blocks, channels, disk_radius=None, fixed_uv=None):
     """Per-chunk accumulation of the covariance integrand h (e^S - e^{S2}).
 
-    Either ``disk_radius`` is given (first four columns are folded into two
-    uniform aperture points) or ``fixed_uv`` pins (u, v) for a pointwise
-    fourth-order value. The channels share w0, so each chunk's coordinates,
-    unit-prefactor exponents and phase arguments are computed once; every
-    channel then scales the exponents by its own prefactor and the phase
-    arguments by its own beta. Returns one (mean, diagnostics) per channel.
+    ``blocks`` yields the points CHUNK at a time. Either ``disk_radius`` is
+    given (first four columns are folded into two uniform aperture points)
+    or ``fixed_uv`` pins (u, v) for a pointwise fourth-order value. The
+    channels share w0, so each chunk's coordinates, unit-prefactor
+    exponents and phase arguments are computed once; every channel then
+    scales the exponents by its own prefactor and the phase arguments by
+    its own beta. Returns one (mean, diagnostics) per channel.
     """
     w0 = channels[0].w0
     scales = [(ds_prefactor(c), c.k / c.length) for c in channels]
-    n = points.shape[0]
+    n = 0
     total = [0.0] * len(channels)
     total_sq = [0.0] * len(channels)
     n_pos = [0] * len(channels)
     s_max = [-math.inf] * len(channels)
-    for lo in range(0, n, CHUNK):
-        p = points[lo:lo + CHUNK]
+    for p in blocks:
+        n += p.shape[0]
         if disk_radius is not None:
             rad1 = disk_radius * np.sqrt(p[:, 0])
             th1 = 2.0 * math.pi * p[:, 1]
@@ -241,13 +276,21 @@ def _scan_chunks(points, channels, disk_radius=None, fixed_uv=None):
 
 def _run_replicates(channels, dim, log2_points, seed, disk_radius, fixed_uv):
     """Replicate means and diagnostics, one (value, se, diagnostics) per
-    channel; every channel sees the same scrambled points."""
-    per_channel = [[] for _ in channels]
-    for seed_seq in np.random.SeedSequence(seed).spawn(REPLICATES):
-        pts = sobol_points(dim, log2_points, seed_seq)
-        for acc, res in zip(per_channel,
-                            _scan_chunks(pts, channels, disk_radius, fixed_uv)):
-            acc.append(res)
+    channel; every channel sees the same scrambled points.
+
+    The replicates run on a pool of :func:`qmc_threads` threads, each
+    streaming its own points; numpy releases the interpreter lock inside
+    its loops, so their chunks overlap. The seeds are spawned here and the
+    results taken in replicate order, so nothing depends on the thread
+    count.
+    """
+    def replicate(seed_seq):
+        return _scan_chunks(sobol_points(dim, log2_points, seed_seq),
+                            channels, disk_radius, fixed_uv)
+
+    seed_seqs = np.random.SeedSequence(seed).spawn(REPLICATES)
+    with ThreadPoolExecutor(max_workers=qmc_threads()) as pool:
+        per_channel = list(zip(*pool.map(replicate, seed_seqs)))
     total_points = REPLICATES * 2 ** log2_points
     out = []
     for acc in per_channel:

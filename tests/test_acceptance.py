@@ -164,7 +164,6 @@ def test_criterion_7_key_rate_sweep(tmp_path):
     scen = tmp_path / "sweep.cfg"
     scen.write_text("\n".join([
         "scenario.id = acc7",
-        "scenario.outputs = sweep",
         "channel.cn2 = 4e-14",
         "channel.wavelength = 800 nm",
         "channel.length = 1 km",
@@ -229,7 +228,6 @@ def test_criterion_8_micro_oracles():
 def test_criterion_9_determinism(tmp_path):
     lines = [
         "scenario.id = det",
-        "scenario.outputs = stats, qkd, sweep",
         "channel.cn2 = 4e-14",
         "channel.wavelength = 800 nm",
         "channel.length = 1 km",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from turbchan.cli import main
+from turbchan.kernels.gamma4 import qmc_threads
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -26,10 +27,9 @@ def write_cfg(tmp_path, lines, name="s.cfg"):
     return str(path)
 
 
-def turb_cfg(tmp_path, outputs, extra=(), name="turb.cfg", length="1 km"):
+def turb_cfg(tmp_path, extra=(), name="turb.cfg", length="1 km"):
     lines = ([
         "scenario.id = t1",
-        "scenario.outputs = %s" % outputs,
         "channel.cn2 = 4e-14",
         "channel.length = %s" % length,
         "budget.log2_total = 10",
@@ -53,7 +53,6 @@ def run(argv, tmp_path, sub):
 def test_stats_vacuum_closed_form(tmp_path):
     cfg = write_cfg(tmp_path, [
         "scenario.id = vac",
-        "scenario.outputs = stats",
         "channel.cn2 = 0",
         "channel.length = 1 km",
         "budget.log2_total = 10",
@@ -73,7 +72,7 @@ def test_stats_vacuum_closed_form(tmp_path):
 
 
 def test_pdt_grid_and_family(tmp_path):
-    cfg = turb_cfg(tmp_path, "pdt")
+    cfg = turb_cfg(tmp_path)
     rc, out = run(["pdt", cfg, "--no-cache"], tmp_path, "o1")
     assert rc == 0
     rows = read_csv(out / "t1_pdt.csv")
@@ -88,7 +87,7 @@ def test_pdt_grid_and_family(tmp_path):
 
 def test_pdt_lognormal_fallback(tmp_path):
     # Far beyond the displacement-fit window the density switches family.
-    cfg = turb_cfg(tmp_path, "pdt", length="8 km")
+    cfg = turb_cfg(tmp_path, length="8 km")
     rc, out = run(["pdt", cfg, "--no-cache"], tmp_path, "o1")
     assert rc == 0
     rows = read_csv(out / "t1_pdt.csv")
@@ -96,7 +95,7 @@ def test_pdt_lognormal_fallback(tmp_path):
 
 
 def test_exceedance_table(tmp_path):
-    cfg = turb_cfg(tmp_path, "exceedance",
+    cfg = turb_cfg(tmp_path,
                    extra=["tracking.fractions = 0, 1"])
     rc, out = run(["exceedance", cfg, "--no-cache"], tmp_path, "o1")
     assert rc == 0
@@ -112,7 +111,7 @@ def test_exceedance_table(tmp_path):
 
 
 def test_squeezing_table(tmp_path):
-    cfg = turb_cfg(tmp_path, "squeezing", extra=[
+    cfg = turb_cfg(tmp_path, extra=[
         "tracking.fractions = 0, 1",
         "postselection.eta_min = 0.3, 0.5",
         "squeezing.input_db = -3",
@@ -131,7 +130,7 @@ def test_squeezing_table(tmp_path):
 
 
 def test_qkd_table(tmp_path):
-    cfg = turb_cfg(tmp_path, "qkd")
+    cfg = turb_cfg(tmp_path)
     rc, out = run(["qkd", cfg, "--no-cache"], tmp_path, "o1")
     assert rc == 0
     rows = read_csv(out / "t1_qkd.csv")
@@ -145,7 +144,7 @@ def test_qkd_table(tmp_path):
 
 
 def test_rerun_byte_identical(tmp_path):
-    cfg = turb_cfg(tmp_path, "stats")
+    cfg = turb_cfg(tmp_path)
     rc1, out1 = run(["stats", cfg, "--no-cache"], tmp_path, "o1")
     rc2, out2 = run(["stats", cfg, "--no-cache"], tmp_path, "o2")
     assert rc1 == rc2 == 0
@@ -153,12 +152,14 @@ def test_rerun_byte_identical(tmp_path):
             == (out2 / "t1_stats.csv").read_bytes())
     m1 = json.loads((out1 / "t1_stats_manifest.json").read_text())
     m2 = json.loads((out2 / "t1_stats_manifest.json").read_text())
-    m1.pop("written_at"), m2.pop("written_at")
+    # The timestamp and the measured seconds are the parts that vary.
+    for m in (m1, m2):
+        m.pop("written_at"), m.pop("timings")
     assert m1 == m2
 
 
 def test_cache_round_trip_is_transparent(tmp_path):
-    cfg = turb_cfg(tmp_path, "qkd")
+    cfg = turb_cfg(tmp_path)
     cache = tmp_path / "cache"
     rc1, out1 = run(["qkd", cfg, "--cache-dir", str(cache)], tmp_path, "o1")
     rc2, out2 = run(["qkd", cfg, "--cache-dir", str(cache)], tmp_path, "o2")
@@ -172,7 +173,7 @@ def test_cache_round_trip_is_transparent(tmp_path):
 
 
 def test_seed_override(tmp_path):
-    cfg = turb_cfg(tmp_path, "stats")
+    cfg = turb_cfg(tmp_path)
     rc1, out1 = run(["stats", cfg, "--no-cache"], tmp_path, "o1")
     rc2, out2 = run(["stats", cfg, "--no-cache", "--seed", "4"],
                     tmp_path, "o2")
@@ -190,7 +191,7 @@ def test_seed_override(tmp_path):
 
 
 def test_budget_override(tmp_path):
-    cfg = turb_cfg(tmp_path, "stats")
+    cfg = turb_cfg(tmp_path)
     rc, out = run(["stats", cfg, "--no-cache", "--budget", "12"],
                   tmp_path, "o1")
     assert rc == 0
@@ -200,7 +201,7 @@ def test_budget_override(tmp_path):
 
 
 def test_sweep_workers_equivalence(tmp_path):
-    cfg = turb_cfg(tmp_path, "sweep",
+    cfg = turb_cfg(tmp_path,
                    extra=["sweep.lengths = 1 km, 2 km"])
     rc1, out1 = run(["sweep", cfg, "--no-cache", "--workers", "1"],
                     tmp_path, "o1")
@@ -217,7 +218,7 @@ def test_sweep_workers_cache_counts(tmp_path):
     # More workers than cores and a short switch interval: a lost update of
     # a shared counter would show as a wrong hit or miss count.
     lengths = ["%d km" % L for L in range(1, 7)]
-    cfg = turb_cfg(tmp_path, "sweep",
+    cfg = turb_cfg(tmp_path,
                    extra=["sweep.lengths = %s" % ", ".join(lengths)])
     cache = str(tmp_path / "cache")
     interval = sys.getswitchinterval()
@@ -238,9 +239,9 @@ def test_sweep_workers_cache_counts(tmp_path):
 def test_sweep_from_partly_filled_cache(tmp_path):
     # The batched lookup computes only the missing lengths; the CSV does not
     # depend on which lengths were cached.
-    cfg = turb_cfg(tmp_path, "sweep",
+    cfg = turb_cfg(tmp_path,
                    extra=["sweep.lengths = 1 km, 2 km, 3 km"])
-    part = turb_cfg(tmp_path, "sweep", extra=["sweep.lengths = 2 km"],
+    part = turb_cfg(tmp_path, extra=["sweep.lengths = 2 km"],
                     name="part.cfg")
     cache = str(tmp_path / "cache")
     rc0, _ = run(["sweep", part, "--cache-dir", cache], tmp_path, "o0")
@@ -255,7 +256,7 @@ def test_sweep_from_partly_filled_cache(tmp_path):
 
 
 def test_manifest_shape(tmp_path):
-    cfg = turb_cfg(tmp_path, "stats")
+    cfg = turb_cfg(tmp_path)
     rc, out = run(["stats", cfg, "--no-cache"], tmp_path, "o1")
     assert rc == 0
     man = json.loads((out / "t1_stats_manifest.json").read_text())
@@ -269,8 +270,21 @@ def test_manifest_shape(tmp_path):
     assert "stats" in man["diagnostics"]
 
 
+def test_manifest_timings(tmp_path):
+    # Seconds in the stats lookup (the QMC included) and in the rest of the
+    # table, and the size of the QMC thread pool.
+    cfg = turb_cfg(tmp_path)
+    rc, out = run(["pdt", cfg, "--no-cache"], tmp_path, "o1")
+    assert rc == 0
+    timings = json.loads((out / "t1_pdt_manifest.json").read_text())[
+        "timings"]
+    assert set(timings) == {"stats_s", "table_s", "qmc_threads"}
+    assert timings["stats_s"] > 0.0 and timings["table_s"] >= 0.0
+    assert timings["qmc_threads"] == qmc_threads() >= 1
+
+
 def test_float_formatting_is_stable(tmp_path):
-    cfg = turb_cfg(tmp_path, "stats")
+    cfg = turb_cfg(tmp_path)
     rc, out = run(["stats", cfg, "--no-cache"], tmp_path, "o1")
     assert rc == 0
     row = read_csv(out / "t1_stats.csv")[0]
@@ -280,7 +294,7 @@ def test_float_formatting_is_stable(tmp_path):
 
 
 def test_config_error_exit_code(tmp_path):
-    cfg = write_cfg(tmp_path, ["scenario.outputs = stats"])  # missing channel
+    cfg = write_cfg(tmp_path, ["scenario.id = t1"])  # missing channel
     assert main(["stats", cfg, "--out-dir", str(tmp_path / "o")]) == 2
 
 
@@ -295,20 +309,20 @@ def config_error(table, cfg, tmp_path, capsys, extra=()):
 
 
 def test_squeezing_needs_thresholds(tmp_path, capsys):
-    cfg = turb_cfg(tmp_path, "squeezing")
+    cfg = turb_cfg(tmp_path)
     assert "postselection.eta_min" in config_error("squeezing", cfg,
                                                    tmp_path, capsys)
 
 
 def test_squeezing_input_must_be_negative(tmp_path, capsys):
-    cfg = turb_cfg(tmp_path, "squeezing", extra=[
+    cfg = turb_cfg(tmp_path, extra=[
         "postselection.eta_min = 0.3", "squeezing.input_db = 0"])
     assert "squeezing.input_db" in config_error("squeezing", cfg, tmp_path,
                                                 capsys)
 
 
 def test_sweep_needs_lengths(tmp_path, capsys):
-    cfg = turb_cfg(tmp_path, "sweep")
+    cfg = turb_cfg(tmp_path)
     assert "sweep.lengths" in config_error("sweep", cfg, tmp_path, capsys)
 
 
@@ -318,8 +332,8 @@ def test_sweep_needs_lengths(tmp_path, capsys):
 ])
 def test_table_needs_its_keys_whatever_outputs_lists(table, key, tmp_path,
                                                      capsys):
-    # vacuum.cfg lists neither table and sets neither key; run anyway, the
-    # table names the key instead of writing a header-only CSV.
+    # vacuum.cfg sets neither key: the table names the key instead of
+    # writing a header-only CSV.
     cfg = str(SCENARIOS / "vacuum.cfg")
     assert key in config_error(table, cfg, tmp_path, capsys)
 
@@ -331,7 +345,6 @@ def test_table_needs_its_keys_whatever_outputs_lists(table, key, tmp_path,
 def test_budget_below_minimum_is_config_error(extra, argv, tmp_path,
                                               capsys):
     cfg = write_cfg(tmp_path, [
-        "scenario.outputs = stats",
         "channel.cn2 = 4e-14",
         "channel.length = 1 km",
     ] + GEOM + extra)
@@ -345,7 +358,7 @@ def test_missing_scenario_exit_code(tmp_path):
 
 
 def test_outdir_collision_exit_code(tmp_path):
-    cfg = turb_cfg(tmp_path, "stats")
+    cfg = turb_cfg(tmp_path)
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory")
     assert main(["stats", cfg, "--no-cache", "--out-dir", str(blocker)]) == 5

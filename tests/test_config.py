@@ -8,7 +8,7 @@ from turbchan.errors import ConfigError
 BASE = [
     "scenario.id = demo",            # line 1
     "scenario.seed = 3",             # line 2
-    "scenario.outputs = stats, pdt",  # line 3
+    "# the table is chosen on the command line",  # line 3
     "channel.cn2 = 4e-14",           # line 4
     "channel.wavelength = 800 nm",   # line 5
     "channel.length = 1 km",         # line 6
@@ -34,7 +34,6 @@ def test_minimal_scenario_and_defaults(tmp_path):
     assert isinstance(s, Scenario)
     assert s.scenario_id == "demo"
     assert s.seed == 3
-    assert s.outputs == ("stats", "pdt")
     assert s.channel.cn2 == 4e-14
     # Unit scaling happens in decimal, so the parsed value is bit-identical
     # to the literal the unit-free form would give.
@@ -99,7 +98,6 @@ def test_full_scenario_round_trip(tmp_path):
         "decoy.f_ec = 1.1",                     # line 21
         "sweep.lengths = 1 km, 2 km",           # line 22
     ]
-    lines[2] = "scenario.outputs = stats, pdt, exceedance, squeezing, qkd, sweep"
     s = load_scenario(write(tmp_path, lines))
     assert s.channel.extinction_db_per_km == 1.0
     assert s.budget_log2 == 16
@@ -119,8 +117,8 @@ def test_shipped_scenarios_parse():
     root = Path(__file__).resolve().parent.parent / "scenarios"
     s = load_scenario(root / "fig2_solid.cfg")
     assert s.scenario_id == "fig2-solid"
-    assert set(s.outputs) == {"stats", "pdt", "exceedance", "squeezing",
-                              "qkd", "sweep"}
+    assert s.postselection_eta_min == (0.3, 0.5, 0.7)
+    assert len(s.sweep_lengths) == 11
     v = load_scenario(root / "vacuum.cfg")
     assert v.channel.cn2 == 0.0
 
@@ -155,11 +153,14 @@ def test_missing_required_key(tmp_path):
 
 
 def test_unknown_output(tmp_path):
+    # Files no longer list their outputs: a file that still does fails on
+    # the key, like any other unknown key.
     lines = list(BASE)
-    lines[2] = "scenario.outputs = stats, histogram"
+    lines[2] = "scenario.outputs = stats, pdt"
     err = load_error(tmp_path, lines)
     assert err.field == "scenario.outputs"
     assert err.line == 3
+    assert "unknown key" in str(err)
 
 
 def test_bad_number(tmp_path):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -24,8 +25,8 @@ C1 = make_channel(4e-14, 1000.0)
 VAC = make_channel(0.0, 1000.0)
 
 FAST = dict(log2_points=12)
-# sha256 of the little-endian float64 bytes of sobol_points(10, 12, first
-# replicate stream of seed 0).
+# sha256 of the little-endian float64 bytes of the points of
+# sobol_points(10, 12, first replicate stream of seed 0).
 GOLDEN_SHA256 = ("4072846d5fdae62eb57a885ea847a0b2"
                  "3f0ee9f8a9db2660a670537f25de2d6b")
 
@@ -120,11 +121,21 @@ def test_shared_pass_needs_common_geometry():
                                                 aperture_radius=0.05)])
 
 
+def all_points(dim, log2_points, seed_seq):
+    """The streamed Sobol blocks, concatenated; every block but the last
+    holds CHUNK points."""
+    blocks = list(gamma4_module.sobol_points(dim, log2_points, seed_seq))
+    assert all(len(b) == gamma4_module.CHUNK for b in blocks[:-1])
+    return np.concatenate(blocks)
+
+
 # scipy is the reference only; it names the seed argument `rng` from 1.15.
 @pytest.mark.skipif("rng" not in inspect.signature(qmc.Sobol).parameters,
                     reason="scipy.stats.qmc.Sobol has no rng argument")
 @pytest.mark.parametrize("dim", [1, 6, 10])
-@pytest.mark.parametrize("log2_points", [0, 1, 12, 16])
+# 13 is the first block boundary; at 14 the second block's Gray-code offset
+# holds bit 12, which comes from lo >> 1 alone.
+@pytest.mark.parametrize("log2_points", [0, 1, 12, 13, 14, 16])
 def test_sobol_points_match_scipy_bit_for_bit(dim, log2_points):
     # The replicate streams of three seeds, as _run_replicates spawns them.
     # SeedSequence.spawn is stateful, so each side gets a fresh stream.
@@ -133,8 +144,8 @@ def test_sobol_points_match_scipy_bit_for_bit(dim, log2_points):
             ref = qmc.Sobol(dim, scramble=True, rng=np.random.default_rng(
                 np.random.SeedSequence(seed).spawn(3)[i])).random_base2(
                     log2_points)
-            got = gamma4_module.sobol_points(
-                dim, log2_points, np.random.SeedSequence(seed).spawn(3)[i])
+            got = all_points(dim, log2_points,
+                             np.random.SeedSequence(seed).spawn(3)[i])
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
 
@@ -142,13 +153,53 @@ def test_sobol_points_match_scipy_bit_for_bit(dim, log2_points):
 def test_sobol_points_golden_checksum():
     # Pins the points behind every cached covariance, independent of scipy.
     seed_seq = np.random.SeedSequence(0).spawn(1)[0]
-    pts = gamma4_module.sobol_points(10, 12, seed_seq)
+    pts = all_points(10, 12, seed_seq)
     assert pts.shape == (4096, 10)
     assert pts.min() >= 0.0 and pts.max() < 1.0
     assert hashlib.sha256(pts.astype("<f8").tobytes()).hexdigest() == (
         GOLDEN_SHA256)
     # Pure in its argument: the sequence is not spawned from.
-    assert np.array_equal(gamma4_module.sobol_points(10, 12, seed_seq), pts)
+    assert np.array_equal(all_points(10, 12, seed_seq), pts)
+
+
+def test_results_do_not_depend_on_thread_count(monkeypatch):
+    # One thread, two, and four (more than the cores here), the last with a
+    # short switch interval: every value, error and diagnostic is the same
+    # to the bit, since the replicates are seeded up front and collected in
+    # order.
+    chans = [make_channel(4e-14, 1000.0), make_channel(4e-14, 4000.0)]
+    runs = []
+    for threads in (1, 2, 4):
+        monkeypatch.setattr(gamma4_module, "qmc_threads", lambda: threads)
+        interval = sys.getswitchinterval()
+        if threads == 4:
+            sys.setswitchinterval(1e-5)
+        try:
+            many = aperture_cov_qmc_many(chans, log2_points=12)
+            one = gamma4((0.0, 0.0), (0.01, 0.0), C1, log2_points=12)
+        finally:
+            sys.setswitchinterval(interval)
+        runs.append([(r.value, r.std_error, r.diagnostics)
+                     for r in many + [one]])
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_point_memory_is_per_chunk(monkeypatch):
+    # The points stream one block at a time, so the peak traced memory of a
+    # covariance call does not grow with the points per replicate: 2^16
+    # stays within 1 MB of 2^13 (one block). One thread, so that the peak
+    # does not depend on how the replicates overlap.
+    monkeypatch.setattr(gamma4_module, "qmc_threads", lambda: 1)
+    peaks = {}
+    for log2_points in (13, 16):
+        tracemalloc.start()
+        try:
+            aperture_cov_qmc(C1, log2_points=log2_points)
+            peaks[log2_points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] - peaks[13] < 1_000_000, peaks
 
 
 def test_kernels_never_import_scipy_stats(tmp_path):
