@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .channel import ChannelParams, rytov_parameter
-from .kernels import (BeamStats, StatsBudget, channel_stats,
-                      channel_stats_many, phase_structure_function)
+from .kernels import BeamStats, StatsBudget, channel_stats, channel_stats_many
 from .kernels.gamma2 import gamma2
 from .kernels.gamma4 import gamma4
 from .pdt import (CompositeMoments, CompositePdt, TruncLogNormal,
@@ -26,7 +25,7 @@ __all__ = [
     "__version__",
     "ChannelParams", "rytov_parameter",
     "BeamStats", "StatsBudget", "channel_stats", "channel_stats_many",
-    "phase_structure_function", "gamma2", "gamma4",
+    "gamma2", "gamma4",
     "WeibullParams", "weibull_params",
     "TruncLogNormal", "trunc_lognormal_sample",
     "CompositePdt", "CompositeMoments", "composite_pdt_build",

@@ -32,9 +32,8 @@ class ChannelParams:
 
     Notes
     -----
-    Derived quantities: wave number ``k``, Fresnel number ``omega`` =
-    k w0^2 / (2 L), and ``w_vac`` = 2 L / (k w0), the receiver-plane spot
-    radius the focused beam would have in vacuum.
+    Derived quantities: wave number ``k`` and ``w_vac`` = 2 L / (k w0), the
+    receiver-plane spot radius the focused beam would have in vacuum.
     """
 
     cn2: float
@@ -58,11 +57,6 @@ class ChannelParams:
     def k(self) -> float:
         """Optical wave number, m^-1."""
         return 2.0 * math.pi / self.wavelength
-
-    @property
-    def omega(self) -> float:
-        """Fresnel parameter k w0^2 / (2 L)."""
-        return self.k * self.w0 ** 2 / (2.0 * self.length)
 
     @property
     def w_vac(self) -> float:

@@ -6,16 +6,14 @@ the modules; the package exports the functions as ``turbchan.gamma2`` and
 ``turbchan.gamma4``.
 """
 
-from .structure_function import phase_structure_function
 from .gamma4 import QmcResult, aperture_cov_qmc, aperture_cov_qmc_many
 from .stats import BeamStats, StatsBudget, channel_stats, channel_stats_many
 
 # Bumped whenever a kernel change alters numerical output; part of the
 # stats-cache key.
-KERNEL_VERSION = "5"
+KERNEL_VERSION = "6"
 
 __all__ = [
-    "phase_structure_function", "aperture_cov_qmc", "aperture_cov_qmc_many",
-    "QmcResult", "BeamStats", "StatsBudget", "channel_stats",
-    "channel_stats_many", "KERNEL_VERSION",
+    "aperture_cov_qmc", "aperture_cov_qmc_many", "QmcResult", "BeamStats",
+    "StatsBudget", "channel_stats", "channel_stats_many", "KERNEL_VERSION",
 ]

@@ -38,7 +38,7 @@ from scipy import special
 from ..channel import ChannelParams
 from ..errors import QuadratureNotConverged
 from ..quadrature import gauss_legendre
-from .structure_function import ds_prefactor
+from .structure_function import ds_colinear, ds_prefactor
 
 # The rule ends where the envelope is e^-98.
 SUPPORT_EXPONENT = 98.0
@@ -55,7 +55,7 @@ MAX_NEWTON_STEPS = 100
 
 def stable_coeff(params: ChannelParams) -> float:
     """C of the turbulence factor exp(-C rho^(5/3)) = exp(-D_S(0, rho)/2)."""
-    return 0.5 * 0.375 * ds_prefactor(params)
+    return float(0.5 * ds_colinear(1.0, ds_prefactor(params)))
 
 
 def envelope_exponent(params: ChannelParams):

@@ -68,9 +68,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from ..channel import ChannelParams
+from ..quadrature import gauss_legendre
 from .gamma2 import gamma2
-from .structure_function import (ds_colinear, ds_prefactor, ds_segment,
-                                 gauss_legendre_01)
+from .structure_function import ds_colinear, ds_prefactor, ds_segment
 
 # Points per generated Sobol block and per evaluation block. Fixed, so that
 # every reduction sums the same blocks in the same order on any number of
@@ -79,11 +79,12 @@ CHUNK_BITS = 13
 CHUNK = 1 << CHUNK_BITS
 DEFAULT_LOG2_POINTS = 16
 REPLICATES = 16  # independently scrambled Sobol streams per estimate
-# Structure-function rule of the sampled segments. Against the 32-node rule
-# on the same points it moves the flux covariance by at most 0.023 standard
-# errors at 1-16 km and makes aperture_cov_qmc about 1.9x faster; its
-# quadrature error is tabulated in the structure_function module docstring.
-SEGMENT_RULE = gauss_legendre_01(8)
+# Gauss-Legendre nodes of the structure-function rule of the sampled
+# segments. Against 32 nodes on the same points it moves the flux covariance
+# by at most 0.023 standard errors at 1-16 km and makes aperture_cov_qmc
+# about 1.9x faster; its quadrature error is tabulated in the
+# structure_function module docstring.
+SEGMENT_NODES = 8
 
 
 def qmc_threads() -> int:
@@ -122,7 +123,7 @@ def grouped_exponent(ux, uy, r1x, r1y, r2x, r2y, r3x, r3y, prefactor):
     S is S2 plus the four u-dependent segment terms, so the colinear pair
     terms are evaluated once for both. Returns (S, S2).
     """
-    nodes, weights = SEGMENT_RULE
+    nodes, weights = gauss_legendre(SEGMENT_NODES)
     s2 = pair_exponent(r2x, r2y, r3x, r3y, prefactor)
     d = ds_segment(ux, uy, r1x - r2x, r1y - r2y, prefactor, nodes, weights)
     d += ds_segment(ux, uy, r1x + r2x, r1y + r2y, prefactor, nodes, weights)
@@ -305,7 +306,7 @@ def _run_replicates(channels, dim, log2_points, seed, disk_radius, fixed_uv):
                                    / total_points,
             "s_max": max(d["s_max"] for _, d in acc),
             "integrand_std": max(d["integrand_std"] for _, d in acc),
-            "gl_nodes": len(SEGMENT_RULE[0]),
+            "gl_nodes": SEGMENT_NODES,
         }
         out.append((value, se, diagnostics))
     return out

@@ -5,13 +5,11 @@ The two-point function is
     D_S(r, r') = 2 Cn2 k^2 L Int_0^1 dxi |r xi + r' (1 - xi)|^(5/3),
 
 a line integral of the 5/3-power law along the segment joining the scaled
-endpoints. :func:`ds_segment` evaluates the xi integral on a fixed
-Gauss-Legendre rule on [0, 1], which the caller chooses:
-
-* the pointwise :func:`phase_structure_function` uses the 32-node
-  ``GL_NODES``/``GL_WEIGHTS`` default;
-* the sampled fourth-order path (``kernels.gamma4``) uses an 8-node rule,
-  whose error is far below the sampling noise of the estimates it feeds.
+endpoints. :func:`ds_segment` evaluates the xi integral on a Gauss-Legendre
+rule on [0, 1] from :func:`turbchan.quadrature.gauss_legendre`, which the
+caller passes. The sampled fourth-order path (``kernels.gamma4``) uses 8
+nodes, whose error is far below the sampling noise of the estimates it
+feeds; the tests take the 32-node rule as their reference.
 
 Relative error against adaptive quadrature split at the vertex of the
 quadratic under the power, over 300 pairs with independent Gaussian
@@ -19,11 +17,10 @@ components (2 cm) and 300 nearly anti-parallel pairs (angle within about
 0.02 rad of pi; the tests draw both sets):
 
     rule        Gaussian median / max    anti-parallel median / max
-    32 nodes    4e-16 / 5e-5             1.5e-5 / 7e-5
     8 nodes     4e-8  / 1.8e-3           6e-4   / 2.3e-3
 
 When one argument vanishes the integral collapses to the closed form
-Int_0^1 (1-xi)^(5/3) dxi = 3/8.
+Int_0^1 (1-xi)^(5/3) dxi = 3/8 (:func:`ds_colinear`).
 """
 
 from __future__ import annotations
@@ -31,18 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..channel import ChannelParams
-
-GL_ORDER = 32
-
-
-def gauss_legendre_01(order: int):
-    """Nodes and weights of the Gauss-Legendre rule of the given order on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-# Module-level so the vectorized path pays no setup cost per call.
-GL_NODES, GL_WEIGHTS = gauss_legendre_01(GL_ORDER)
 
 
 def ds_prefactor(params: ChannelParams) -> float:
@@ -55,7 +40,7 @@ def ds_colinear(rho, prefactor: float):
     return 0.375 * prefactor * np.asarray(rho) ** (5.0 / 3.0)
 
 
-def ds_segment(rx, ry, px, py, prefactor: float, nodes=GL_NODES, weights=GL_WEIGHTS):
+def ds_segment(rx, ry, px, py, prefactor: float, nodes, weights):
     """Vectorized D_S for generic two-point arguments.
 
     Parameters
@@ -65,8 +50,7 @@ def ds_segment(rx, ry, px, py, prefactor: float, nodes=GL_NODES, weights=GL_WEIG
     prefactor : float
         Output of :func:`ds_prefactor`.
     nodes, weights : ndarray
-        Quadrature rule on [0, 1] (see :func:`gauss_legendre_01`); the
-        defaults are the 32-node rule.
+        Gauss-Legendre rule on [0, 1].
 
     Notes
     -----
@@ -75,10 +59,9 @@ def ds_segment(rx, ry, px, py, prefactor: float, nodes=GL_NODES, weights=GL_WEIG
     non-parallel arguments it stays positive, so the integrand is analytic
     and the fixed rule converges geometrically. Anti-parallel arguments put
     its zero, and a |.|^(5/3) kink, inside the interval: near there the
-    32-node rule keeps about 7e-5 relative accuracy and the 8-node rule of
-    the sampled path about 2.3e-3 (module docstring). Rounding can push q
-    a few ulps below zero near that kink, so q is clamped at 0 before the
-    power.
+    8-node rule of the sampled path keeps about 2.3e-3 relative accuracy
+    (module docstring). Rounding can push q a few ulps below zero near that
+    kink, so q is clamped at 0 before the power.
     """
     rx, ry, px, py = (np.asarray(v, dtype=np.float64) for v in (rx, ry, px, py))
     dx = rx - px
@@ -95,19 +78,3 @@ def ds_segment(rx, ry, px, py, prefactor: float, nodes=GL_NODES, weights=GL_WEIG
     np.power(q, 5.0 / 6.0, out=q)
     return prefactor * np.tensordot(weights, q, axes=(0, 0))
 
-
-def phase_structure_function(r, r_prime, params: ChannelParams) -> float:
-    """D_S(r, r') for a single pair of 2-vectors, in squared radians.
-
-    Zero-argument cases use the closed colinear form; the generic case uses
-    the 32-node rule of :func:`ds_segment`.
-    """
-    pref = ds_prefactor(params)
-    rx, ry = float(r[0]), float(r[1])
-    px, py = float(r_prime[0]), float(r_prime[1])
-    if rx == 0.0 and ry == 0.0:
-        return float(ds_colinear(np.hypot(px, py), pref))
-    if px == 0.0 and py == 0.0:
-        # Swap role of the endpoints; Int_0^1 xi^(5/3) dxi is also 3/8.
-        return float(ds_colinear(np.hypot(rx, ry), pref))
-    return float(ds_segment(rx, ry, px, py, pref))

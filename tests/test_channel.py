@@ -15,7 +15,6 @@ def test_derived_quantities():
     c = make_channel(4e-14, 1000.0)
     k = 2.0 * math.pi / 800e-9
     assert c.k == pytest.approx(k, rel=1e-15)
-    assert c.omega == pytest.approx(k * 0.02 ** 2 / 2000.0, rel=1e-15)
     assert c.w_vac == pytest.approx(2000.0 / (k * 0.02), rel=1e-15)
     assert c.w_vac == pytest.approx(0.0127323954, rel=1e-8)
 

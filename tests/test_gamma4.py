@@ -17,7 +17,6 @@ import turbchan
 from turbchan import gamma2, gamma4
 from turbchan.kernels import aperture_cov_qmc, aperture_cov_qmc_many
 from turbchan.kernels import gamma4 as gamma4_module
-from turbchan.kernels.structure_function import GL_NODES, GL_WEIGHTS
 
 from conftest import make_channel
 
@@ -92,7 +91,7 @@ def test_segment_rule_shift_is_below_noise(monkeypatch):
     # by far less than its standard error.
     chan = make_channel(4e-14, 4000.0)
     short = aperture_cov_qmc(chan, log2_points=12)
-    monkeypatch.setattr(gamma4_module, "SEGMENT_RULE", (GL_NODES, GL_WEIGHTS))
+    monkeypatch.setattr(gamma4_module, "SEGMENT_NODES", 32)
     full = aperture_cov_qmc(chan, log2_points=12)
     assert short.diagnostics["gl_nodes"] == 8
     assert full.diagnostics["gl_nodes"] == 32

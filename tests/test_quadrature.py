@@ -1,11 +1,13 @@
 """Fixed quadrature rules against arbitrary-precision references."""
 
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import turbchan
 from turbchan.quadrature import gauss_legendre, tanh_sinh
 
 from conftest import make_channel
@@ -21,6 +23,34 @@ def test_gauss_legendre_matches_mpmath():
     want_x, want_w = np.array(ref).T
     assert np.max(np.abs(x - want_x)) <= 2.3e-16
     assert np.max(np.abs(w / want_w - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_segment_rule_weights_within_one_ulp(n):
+    # The structure-function segment rule (8 nodes) and its test reference
+    # (32 nodes) against 40-digit roots of P_n and their weights
+    # 2 / ((1 - x^2) P_n'(x)^2), mapped to [0, 1].
+    x, w = gauss_legendre(n)
+    with mp.workdps(40):
+        want_x, want_w = [], []
+        for node in x:
+            t = mp.findroot(lambda t: mp.legendre(n, t), 2 * mp.mpf(node) - 1)
+            dp = n * (t * mp.legendre(n, t) - mp.legendre(n - 1, t)) / (
+                t * t - 1)
+            want_x.append(float((1 + t) / 2))
+            want_w.append(float(1 / ((1 - t * t) * dp * dp)))
+    want_x, want_w = np.array(want_x), np.array(want_w)
+    assert np.max(np.abs(x - want_x)) <= 2.3e-16
+    assert np.all(np.abs(w - want_w) <= np.spacing(want_w))
+
+
+def test_one_gauss_legendre_generator():
+    # Every Gauss-Legendre rule of the package comes from gauss_legendre.
+    src = pathlib.Path(turbchan.__file__).parent
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        for name in ("leggauss", "roots_legendre"):
+            assert name not in text, "%s names %s" % (path.name, name)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64, 1024])

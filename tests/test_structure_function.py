@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from turbchan import phase_structure_function
-from turbchan.kernels.gamma4 import SEGMENT_RULE
-from turbchan.kernels.structure_function import ds_segment
+from turbchan.kernels.gamma4 import SEGMENT_NODES
+from turbchan.kernels.structure_function import (ds_colinear, ds_prefactor,
+                                                 ds_segment)
+from turbchan.quadrature import gauss_legendre
 
 from conftest import make_channel
 
@@ -21,26 +22,31 @@ GENERIC_A = 3.43502864524   # (0.01, 0) to (0, 0.02)
 GENERIC_B = 4.06204096673   # (0.005, -0.01) to (0.015, 0.02)
 
 
+def ds(r, p, chan=C1):
+    """D_S(r, r') for one pair of 2-vectors on the 32-node reference rule."""
+    return float(ds_segment(r[0], r[1], p[0], p[1], ds_prefactor(chan),
+                            *gauss_legendre(32)))
+
+
 def test_colinear_matches_closed_form():
-    got = phase_structure_function((0.0, 0.0), (0.01, 0.0), C1)
+    got = float(ds_colinear(0.01, ds_prefactor(C1)))
     assert got == pytest.approx(COLINEAR_1CM, rel=1e-9)
 
 
 def test_generic_points_match_oracle():
-    a = phase_structure_function((0.01, 0.0), (0.0, 0.02), C1)
-    b = phase_structure_function((0.005, -0.01), (0.015, 0.02), C1)
+    a = ds((0.01, 0.0), (0.0, 0.02))
+    b = ds((0.005, -0.01), (0.015, 0.02))
     assert a == pytest.approx(GENERIC_A, rel=1e-9)
     assert b == pytest.approx(GENERIC_B, rel=1e-9)
 
 
 def test_degenerate_segments():
     # Both endpoints at the origin: the segment never leaves zero.
-    assert phase_structure_function((0.0, 0.0), (0.0, 0.0), C1) == 0.0
+    assert ds((0.0, 0.0), (0.0, 0.0)) == 0.0
     # Equal endpoints: the integrand is the constant |r|^(5/3).
-    from turbchan.kernels.structure_function import ds_prefactor
     r = (0.01, 0.02)
     want = ds_prefactor(C1) * (r[0] ** 2 + r[1] ** 2) ** (5.0 / 6.0)
-    got = phase_structure_function(r, r, C1)
+    got = ds(r, r)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -50,8 +56,8 @@ coords = st.floats(-0.05, 0.05, allow_nan=False)
 @settings(max_examples=50)
 @given(x1=coords, y1=coords, x2=coords, y2=coords)
 def test_symmetry(x1, y1, x2, y2):
-    a = phase_structure_function((x1, y1), (x2, y2), C1)
-    b = phase_structure_function((x2, y2), (x1, y1), C1)
+    a = ds((x1, y1), (x2, y2))
+    b = ds((x2, y2), (x1, y1))
     assert a == pytest.approx(b, rel=1e-12, abs=1e-30)
 
 
@@ -60,15 +66,15 @@ def test_symmetry(x1, y1, x2, y2):
        c=st.floats(0.1, 5.0))
 def test_five_thirds_scaling(x, y, c):
     # Kolmogorov power law: scaling both endpoints scales D by c^(5/3).
-    base = phase_structure_function((0.0, 0.0), (x, y), C1)
-    scaled = phase_structure_function((0.0, 0.0), (c * x, c * y), C1)
+    base = ds((0.0, 0.0), (x, y))
+    scaled = ds((0.0, 0.0), (c * x, c * y))
     assert scaled == pytest.approx(c ** (5.0 / 3.0) * base, rel=1e-9)
 
 
 def test_nonnegative_and_linear_in_cn2():
     weak = make_channel(1e-15, 1000.0)
-    a = phase_structure_function((0.01, 0.0), (0.0, 0.02), weak)
-    b = phase_structure_function((0.01, 0.0), (0.0, 0.02), C1)
+    a = ds((0.01, 0.0), (0.0, 0.02), weak)
+    b = ds((0.01, 0.0), (0.0, 0.02))
     assert a > 0.0
     assert b == pytest.approx(a * 40.0, rel=1e-12)
 
@@ -117,8 +123,8 @@ def test_sampled_rule_against_adaptive_quadrature(pairs, median_bound,
     # analytic on [0, 1]; near anti-parallel ones carry the |.|^(5/3) kink.
     r, p = pairs(np.random.default_rng(1), 300)
     want = np.array([_segment_reference(a, b) for a, b in zip(r, p)])
-    nodes, weights = SEGMENT_RULE
-    got = ds_segment(r[:, 0], r[:, 1], p[:, 0], p[:, 1], 1.0, nodes, weights)
+    got = ds_segment(r[:, 0], r[:, 1], p[:, 0], p[:, 1], 1.0,
+                     *gauss_legendre(SEGMENT_NODES))
     rel = np.abs(got - want) / want
     assert np.median(rel) <= median_bound
     assert rel.max() <= max_bound
