@@ -17,9 +17,8 @@ from .qkd import (DecoyParams, KeyRateResult, averaged_key_rate,
                   binary_entropy, gain, key_rate_integrand, mean_loss_db,
                   one_photon_gain_lower, qber, relative_improvement)
 from .config import Scenario, load_scenario
-from .cache import (cached_channel_stats, cached_channel_stats_many,
-                    default_cache_dir, stats_cache_get, stats_cache_put,
-                    stats_key)
+from .cache import (cached_channel_stats_many, default_cache_dir,
+                    stats_cache_get, stats_cache_put, stats_key)
 
 __all__ = [
     "__version__",
@@ -38,5 +37,5 @@ __all__ = [
     "relative_improvement", "mean_loss_db",
     "Scenario", "load_scenario",
     "stats_key", "stats_cache_get", "stats_cache_put",
-    "cached_channel_stats", "cached_channel_stats_many", "default_cache_dir",
+    "cached_channel_stats_many", "default_cache_dir",
 ]

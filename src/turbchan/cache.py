@@ -135,12 +135,3 @@ def cached_channel_stats_many(channels, budget: StatsBudget, seed: int = 0,
     return [(fresh[k], False) if k in fresh else (found[k], True)
             for k in keys]
 
-
-def cached_channel_stats(params: ChannelParams, budget: StatsBudget,
-                         seed: int = 0, cache_dir=None, enabled: bool = True):
-    """channel_stats with a read-through cache.
-
-    Returns (stats, hit) where hit says whether the value came from disk.
-    """
-    return cached_channel_stats_many([params], budget, seed, cache_dir,
-                                     enabled)[0]

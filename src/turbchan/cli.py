@@ -85,21 +85,13 @@ def _stats_many(scenario: Scenario, channels, args, seeds, timings):
 
     Adds the seconds of the lookup, QMC included, to timings["stats_s"].
     """
-    try:
-        budget = StatsBudget(scenario.budget_log2)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="budget.log2_total") from None
+    budget = StatsBudget(scenario.budget_log2)
     t0 = time.perf_counter()
     out = cached_channel_stats_many(channels, budget, seed=seeds["stats"],
                                     cache_dir=args.cache_dir,
                                     enabled=not args.no_cache)
     timings["stats_s"] += time.perf_counter() - t0
     return out
-
-
-def _stats(scenario: Scenario, channel, args, seeds, timings):
-    """Channel stats through the cache; returns (stats, cache hit flag)."""
-    return _stats_many(scenario, [channel], args, seeds, timings)[0]
 
 
 def _law(scenario: Scenario, st, diag):
@@ -113,7 +105,7 @@ def _law(scenario: Scenario, st, diag):
 
 def _table_stats(scenario, args, seeds, diag, timings):
     channel = scenario.channel
-    st, hit = _stats(scenario, channel, args, seeds, timings)
+    st, hit = _stats_many(scenario, [channel], args, seeds, timings)[0]
     diag["stats"] = st.diagnostics
     header = ["scenario_id", "seed", "cn2", "length_m", "mean_eta",
               "se_mean_eta", "mean_eta2", "se_mean_eta2", "sigma_bw2",
@@ -125,7 +117,8 @@ def _table_stats(scenario, args, seeds, diag, timings):
 
 
 def _table_pdt(scenario, args, seeds, diag, timings):
-    st, hit = _stats(scenario, scenario.channel, args, seeds, timings)
+    st, hit = _stats_many(scenario, [scenario.channel], args, seeds,
+                          timings)[0]
     diag["stats"] = st.diagnostics
     law = _law(scenario, st, diag)
     grid = _eta_grid(scenario.eta_step)
@@ -138,7 +131,8 @@ def _table_pdt(scenario, args, seeds, diag, timings):
 
 
 def _table_exceedance(scenario, args, seeds, diag, timings):
-    st, hit = _stats(scenario, scenario.channel, args, seeds, timings)
+    st, hit = _stats_many(scenario, [scenario.channel], args, seeds,
+                          timings)[0]
     diag["stats"] = st.diagnostics
     law = _law(scenario, st, diag)
     grid = _eta_grid(scenario.eta_step)
@@ -162,7 +156,8 @@ def _table_squeezing(scenario, args, seeds, diag, timings):
     if not scenario.squeezing_input_db < 0.0:
         raise ConfigError("input squeezing must be negative dB",
                           field="squeezing.input_db")
-    st, hit = _stats(scenario, scenario.channel, args, seeds, timings)
+    st, hit = _stats_many(scenario, [scenario.channel], args, seeds,
+                          timings)[0]
     diag["stats"] = st.diagnostics
     law = _law(scenario, st, diag)
     header = ["scenario_id", "seed", "fraction", "eta_min", "acceptance",
@@ -210,21 +205,10 @@ def _qkd_point(scenario, channel, st, seeds):
     return row, point_diag
 
 
-def _table_qkd(scenario, args, seeds, diag, timings):
-    st, hit = _stats(scenario, scenario.channel, args, seeds, timings)
-    row, point_diag = _qkd_point(scenario, scenario.channel, st, seeds)
-    diag["points"] = [point_diag]
-    return QKD_HEADER, [row], [hit]
-
-
-def _table_sweep(scenario, args, seeds, diag, timings):
-    if not scenario.sweep_lengths:
-        raise ConfigError("the sweep table needs lengths",
-                          field="sweep.lengths")
+def _qkd_rows(scenario, channels, args, seeds, diag, timings):
+    """The key-rate table, one row per channel."""
     # One batched lookup: the missing lengths share one covariance pass.
     # The workers only parallelize the per-point downstream work.
-    channels = [scenario.channel.replace(length=L)
-                for L in scenario.sweep_lengths]
     looked_up = _stats_many(scenario, channels, args, seeds, timings)
     stats = [st for st, _ in looked_up]
     workers = max(1, getattr(args, "workers", 1))
@@ -242,6 +226,19 @@ def _table_sweep(scenario, args, seeds, diag, timings):
             [hit for _, hit in looked_up])
 
 
+def _table_qkd(scenario, args, seeds, diag, timings):
+    return _qkd_rows(scenario, [scenario.channel], args, seeds, diag, timings)
+
+
+def _table_sweep(scenario, args, seeds, diag, timings):
+    if not scenario.sweep_lengths:
+        raise ConfigError("the sweep table needs lengths",
+                          field="sweep.lengths")
+    channels = [scenario.channel.replace(length=L)
+                for L in scenario.sweep_lengths]
+    return _qkd_rows(scenario, channels, args, seeds, diag, timings)
+
+
 _TABLES = {
     "stats": _table_stats,
     "pdt": _table_pdt,
@@ -253,11 +250,10 @@ _TABLES = {
 
 
 def _run(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
-    if args.budget is not None:
-        scenario = dataclasses.replace(scenario, budget_log2=args.budget)
+    overrides = {"scenario.seed": args.seed, "budget.log2_total": args.budget}
+    scenario = load_scenario(args.scenario, {
+        key: str(value) for key, value in overrides.items()
+        if value is not None})
     seeds = _derived_seeds(scenario.seed)
     diag = {}
     timings = {"stats_s": 0.0}

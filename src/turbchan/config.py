@@ -1,27 +1,26 @@
-"""Scenario files: flat dotted key-value configs with unit suffixes."""
+"""Scenario files: flat dotted key-value configs with unit suffixes.
+
+Each key is one row of _SCHEMA, and load_scenario runs every value,
+command-line overrides included, through its key's row.
+"""
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from pathlib import Path
 
 from .channel import ChannelParams
-from .errors import ConfigError
+from .errors import ConfigError, TurbchanError
+from .kernels.stats import StatsBudget
 from .qkd import DecoyParams
 
 # Length-like values accept a unit suffix; bare numbers are metres.
 # Decimal powers of ten, applied before the single decimal->binary rounding
 # so that `800 nm` equals the literal 800e-9 exactly.
-_UNIT_EXPONENT = {
-    "nm": -9,
-    "um": -6,
-    "mm": -3,
-    "cm": -2,
-    "m": 0,
-    "km": 3,
-}
+_UNIT_EXPONENT = {"nm": -9, "um": -6, "mm": -3, "cm": -2, "m": 0, "km": 3}
 
 _NUMBER_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([a-zA-Z]*)\s*$")
@@ -51,47 +50,94 @@ class Scenario:
     sweep_lengths: tuple
 
 
-def _parse_number(value, key, line, unit_kind):
-    """Parse a number with an optional unit suffix.
+# A section's keys fill the fields of its library type, which fills the
+# Scenario field of the same name; other keys fill Scenario fields.
+_SECTIONS = {"channel": ChannelParams, "decoy": DecoyParams}
 
-    unit_kind: 'length' converts to metres, 'none' forbids any suffix.
-    """
-    m = _NUMBER_RE.match(value)
+_REQUIRED = object()
+
+# One row per key. field: the Scenario field the key fills, or the field of
+# its section's library type. kind: str, int, float (no unit), length (unit
+# suffix allowed), list_float or list_length (comma-separated, strictly
+# ascending). default: the value of an absent key, a function of the file
+# path giving it, _REQUIRED, or None to keep the library type's default.
+# check: raises ValueError with the message for a value out of range.
+_Key = namedtuple("_Key", "field kind default check",
+                  defaults=(None, lambda value: None))
+
+
+def _bound(ok, message):
+    """A check failing with message unless ok(value) (for a list, each)."""
+    def check(value):
+        if not all(map(ok, value if isinstance(value, tuple) else (value,))):
+            raise ValueError(message)
+    return check
+
+
+_SCHEMA = {
+    "scenario.id": _Key("scenario_id", "str", lambda path: Path(path).stem),
+    "scenario.seed": _Key("seed", "int", 0,
+                          _bound(lambda s: s >= 0, "seed must be >= 0")),
+    "channel.cn2": _Key("cn2", "float", _REQUIRED),
+    "channel.wavelength": _Key("wavelength", "length", _REQUIRED),
+    "channel.length": _Key("length", "length", _REQUIRED),
+    "channel.w0": _Key("w0", "length", _REQUIRED),
+    "channel.aperture": _Key("aperture_radius", "length", _REQUIRED),
+    "channel.extinction_db_per_km": _Key("extinction_db_per_km", "float"),
+    "budget.log2_total": _Key("budget_log2", "int", StatsBudget.log2_total,
+                              StatsBudget),
+    "pdt.sample_count": _Key("pdt_sample_count", "int", 10_000, _bound(
+        lambda n: n >= 2, "sample_count must be >= 2")),
+    "pdt.eta_step": _Key("eta_step", "float", 0.002, _bound(
+        lambda s: 0.0 < s <= 0.5, "eta_step must lie in (0, 0.5]")),
+    "tracking.fractions": _Key("tracking_fractions", "list_float", (0.0,),
+                               _bound(lambda f: 0.0 <= f <= 1.0,
+                                      "fractions must lie in [0, 1]")),
+    "tracking.jitter2": _Key("tracking_jitter2", "float", 0.0, _bound(
+        lambda j: j >= 0.0, "jitter2 must be >= 0")),
+    "postselection.eta_min": _Key("postselection_eta_min", "list_float", (),
+                                  _bound(lambda e: 0.0 <= e < 1.0,
+                                         "thresholds must lie in [0, 1)")),
+    "squeezing.input_db": _Key("squeezing_input_db", "float", -3.0),
+    "decoy.mu_signal": _Key("mu_s", "float"),
+    "decoy.mu_decoy": _Key("mu_d", "float"),
+    "decoy.y0": _Key("y0", "float"),
+    "decoy.e_detector": _Key("e_det", "float"),
+    "decoy.f_ec": _Key("f_ec", "float"),
+    "sweep.lengths": _Key("sweep_lengths", "list_length", (), _bound(
+        lambda x: x > 0.0, "lengths must be positive")),
+}
+
+
+def _parse(kind, text):
+    """The value of a key of this kind; ValueError says what is wrong."""
+    if kind == "str":
+        return text
+    if kind == "int":
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError("expected an integer, got %r" % text) from None
+    if kind.startswith("list_"):
+        items = [s.strip() for s in text.split(",")]
+        if not all(items):
+            raise ValueError("empty list element")
+        values = tuple(_parse(kind[len("list_"):], s) for s in items)
+        if any(not b > a for a, b in zip(values, values[1:])):
+            raise ValueError("list must be strictly ascending")
+        return values
+    m = _NUMBER_RE.match(text)
     if m is None:
-        raise ConfigError("expected a number, got %r" % value,
-                          field=key, line=line)
+        raise ValueError("expected a number, got %r" % text)
     num_str, unit = m.group(1), m.group(2)
     if not unit:
         return float(num_str)
-    if unit_kind == "length" and unit in _UNIT_EXPONENT:
+    if kind == "length" and unit in _UNIT_EXPONENT:
         try:
             return float(Decimal(num_str).scaleb(_UNIT_EXPONENT[unit]))
-        except InvalidOperation:
-            raise ConfigError("expected a number, got %r" % value,
-                              field=key, line=line) from None
-    raise ConfigError("unexpected unit %r" % unit, field=key, line=line)
-
-
-def _parse_int(value, key, line):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError("expected an integer, got %r" % value,
-                          field=key, line=line) from None
-
-
-def _parse_list(value, key, line, unit_kind):
-    items = [s.strip() for s in value.split(",")]
-    if any(not s for s in items):
-        raise ConfigError("empty list element", field=key, line=line)
-    return tuple(_parse_number(s, key, line, unit_kind) for s in items)
-
-
-def _check_ascending(values, key, line):
-    for a, b in zip(values, values[1:]):
-        if not b > a:
-            raise ConfigError("list must be strictly ascending",
-                              field=key, line=line)
+        except ArithmeticError:
+            raise ValueError("expected a number, got %r" % text) from None
+    raise ValueError("unexpected unit %r" % unit)
 
 
 def _read_pairs(path):
@@ -115,149 +161,53 @@ def _read_pairs(path):
     return pairs
 
 
-# key -> (kind, required). Kinds: float (no unit), length (unit suffix ok),
-# int, str, list_float, list_length.
-_SCHEMA = {
-    "scenario.id": ("str", False),
-    "scenario.seed": ("int", False),
-    "channel.cn2": ("float", True),
-    "channel.wavelength": ("length", True),
-    "channel.length": ("length", True),
-    "channel.w0": ("length", True),
-    "channel.aperture": ("length", True),
-    "channel.extinction_db_per_km": ("float", False),
-    "budget.log2_total": ("int", False),
-    "pdt.sample_count": ("int", False),
-    "pdt.eta_step": ("float", False),
-    "tracking.fractions": ("list_float", False),
-    "tracking.jitter2": ("float", False),
-    "postselection.eta_min": ("list_float", False),
-    "squeezing.input_db": ("float", False),
-    "decoy.mu_signal": ("float", False),
-    "decoy.mu_decoy": ("float", False),
-    "decoy.y0": ("float", False),
-    "decoy.e_detector": ("float", False),
-    "decoy.f_ec": ("float", False),
-    "sweep.lengths": ("list_length", False),
-}
+def _build(section, kwargs, pairs):
+    """The section's library type; its error is reported at the key of the
+    field it names, else at the section and the first line of its keys."""
+    keys = [k for k in _SCHEMA if k.startswith(section + ".")]
+    try:
+        return _SECTIONS[section](**kwargs)
+    except ConfigError as exc:
+        key = next(k for k in keys if _SCHEMA[k].field == exc.field)
+        raise ConfigError(exc.message, field=key,
+                          line=pairs.get(key, (None, None))[1]) from None
+    except TurbchanError as exc:
+        line = min((pairs[k][1] for k in keys if k in pairs), default=None)
+        raise ConfigError("invalid %s parameters: %s" % (section, exc),
+                          field=section, line=line) from None
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, overrides=None) -> Scenario:
     """Parse and validate a scenario file.
 
-    Raises ConfigError with the offending field and line on any problem.
+    overrides maps keys to text that replaces the file's value, as the
+    command line's --seed and --budget do; it goes through the same checks.
+    Raises ConfigError with the offending field and line on any problem (no
+    line for an override).
     """
     pairs = _read_pairs(path)
-    for key in pairs:
+    for key, (_, line) in pairs.items():
         if key not in _SCHEMA:
-            raise ConfigError("unknown key", field=key, line=pairs[key][1])
-    for key, (kind, required) in _SCHEMA.items():
-        if required and key not in pairs:
+            raise ConfigError("unknown key", field=key, line=line)
+    for key, text in (overrides or {}).items():
+        pairs[key] = (text, None)
+    for key, row in _SCHEMA.items():
+        if row.default is _REQUIRED and key not in pairs:
             raise ConfigError("missing required key", field=key)
-
-    def get(key, default=None):
-        if key not in pairs:
-            return default
-        value, line = pairs[key]
-        kind = _SCHEMA[key][0]
-        if kind == "str":
-            return value
-        if kind == "int":
-            return _parse_int(value, key, line)
-        if kind == "float":
-            return _parse_number(value, key, line, "none")
-        if kind == "length":
-            return _parse_number(value, key, line, "length")
-        if kind == "list_float":
-            return _parse_list(value, key, line, "none")
-        return _parse_list(value, key, line, "length")
-
-    channel_kwargs = dict(
-        cn2=get("channel.cn2"),
-        wavelength=get("channel.wavelength"),
-        length=get("channel.length"),
-        w0=get("channel.w0"),
-        aperture_radius=get("channel.aperture"),
-        extinction_db_per_km=get("channel.extinction_db_per_km", 0.0),
-    )
-    try:
-        channel = ChannelParams(**channel_kwargs)
-    except ConfigError as exc:
-        # Map dataclass field names back to config keys for the report.
-        key = {"aperture_radius": "channel.aperture"}.get(
-            exc.field, "channel.%s" % exc.field)
-        line = pairs[key][1] if key in pairs else None
-        raise ConfigError(exc.message, field=key, line=line) from None
-
-    fractions = get("tracking.fractions", (0.0,))
-    _check_ascending(fractions, "tracking.fractions",
-                     pairs.get("tracking.fractions", (None, None))[1])
-    if any(not 0.0 <= f <= 1.0 for f in fractions):
-        raise ConfigError("fractions must lie in [0, 1]",
-                          field="tracking.fractions",
-                          line=pairs["tracking.fractions"][1])
-
-    eta_min = get("postselection.eta_min", ())
-    if eta_min:
-        _check_ascending(eta_min, "postselection.eta_min",
-                         pairs["postselection.eta_min"][1])
-        if any(not 0.0 <= e < 1.0 for e in eta_min):
-            raise ConfigError("thresholds must lie in [0, 1)",
-                              field="postselection.eta_min",
-                              line=pairs["postselection.eta_min"][1])
-    squeezing_db = get("squeezing.input_db", -3.0)
-
-    sweep_lengths = get("sweep.lengths", ())
-    if sweep_lengths:
-        _check_ascending(sweep_lengths, "sweep.lengths",
-                         pairs["sweep.lengths"][1])
-        if any(not x > 0.0 for x in sweep_lengths):
-            raise ConfigError("lengths must be positive",
-                              field="sweep.lengths",
-                              line=pairs["sweep.lengths"][1])
-
-    decoy_keys = ("decoy.mu_signal", "decoy.mu_decoy", "decoy.y0",
-                  "decoy.e_detector", "decoy.f_ec")
-    decoy_kwargs = {}
-    for key, name in zip(decoy_keys,
-                         ("mu_s", "mu_d", "y0", "e_det", "f_ec")):
+    fields = {section: {} for section in _SECTIONS}
+    scenario = {}
+    for key, row in _SCHEMA.items():
+        target = fields.get(key.partition(".")[0], scenario)
         if key in pairs:
-            decoy_kwargs[name] = get(key)
-    try:
-        decoy = DecoyParams(**decoy_kwargs)
-    except Exception as exc:
-        line = min(pairs[k][1] for k in decoy_keys if k in pairs)
-        raise ConfigError("invalid decoy parameters: %s" % exc,
-                          field="decoy", line=line) from None
-
-    eta_step = get("pdt.eta_step", 0.002)
-    if not 0.0 < eta_step <= 0.5:
-        raise ConfigError("eta_step must lie in (0, 0.5]",
-                          field="pdt.eta_step",
-                          line=pairs["pdt.eta_step"][1])
-    sample_count = get("pdt.sample_count", 10_000)
-    if sample_count < 2:
-        raise ConfigError("sample_count must be >= 2",
-                          field="pdt.sample_count",
-                          line=pairs["pdt.sample_count"][1])
-    budget_log2 = get("budget.log2_total", 20)
-    jitter2 = get("tracking.jitter2", 0.0)
-    if jitter2 < 0.0:
-        raise ConfigError("jitter2 must be >= 0",
-                          field="tracking.jitter2",
-                          line=pairs["tracking.jitter2"][1])
-
-    return Scenario(
-        scenario_id=get("scenario.id", Path(path).stem),
-        seed=get("scenario.seed", 0),
-        channel=channel,
-        budget_log2=budget_log2,
-        pdt_sample_count=sample_count,
-        eta_step=eta_step,
-        tracking_fractions=fractions,
-        tracking_jitter2=jitter2,
-        postselection_eta_min=eta_min,
-        squeezing_input_db=squeezing_db,
-        decoy=decoy,
-        sweep_lengths=sweep_lengths,
-    )
+            text, line = pairs[key]
+            try:
+                target[row.field] = _parse(row.kind, text)
+                row.check(target[row.field])
+            except ValueError as exc:
+                raise ConfigError(str(exc), field=key, line=line) from None
+        elif callable(row.default):
+            target[row.field] = row.default(path)
+        elif row.default is not None:
+            target[row.field] = row.default
+    return Scenario(**scenario, **{section: _build(section, kwargs, pairs)
+                                   for section, kwargs in fields.items()})

@@ -273,6 +273,21 @@ class CompositePdt:
         radii.setflags(write=False)
         return radii
 
+    @cached_property
+    def node_mu(self):
+        """composite_mu at each node radius."""
+        mu = composite_mu(self, self.radii)
+        mu.setflags(write=False)
+        return mu
+
+    @cached_property
+    def node_coef(self):
+        """Node weights over Phi(node_mu / sigma_r0), which renormalizes
+        each node's log-normal to (0, 1]; needs sigma_r0 > 0."""
+        coef = self.weights / special.ndtr(self.node_mu / self.sigma_r0)
+        coef.setflags(write=False)
+        return coef
+
     @property
     def atom(self):
         """The one transmittance of a law with neither wandering nor
@@ -401,10 +416,8 @@ def composite_mu(c, r0):
 
 def _component_sum(c, x, kernel):
     # sum_k w_k kernel((x + mu_k) / sigma_r0) / Phi(mu_k / sigma_r0) at each
-    # log transmittance x, over chunks of nodes; the Phi renormalizes node
-    # k's log-normal to (0, 1].
-    mu = composite_mu(c, c.radii)
-    coef = c.weights / special.ndtr(mu / c.sigma_r0)
+    # log transmittance x, over chunks of nodes.
+    mu, coef = c.node_mu, c.node_coef
     acc = np.zeros(x.size)
     for start in range(0, mu.size, COMPONENT_CHUNK):
         m = mu[start:start + COMPONENT_CHUNK, None]

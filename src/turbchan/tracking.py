@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, EmptyPostselection, InvalidTracking
-from .pdt import XI_CUTOFF, _component_sum, _displacement_average, composite_mu
+from .pdt import XI_CUTOFF, _component_sum, _displacement_average
 
 MIN_ACCEPTANCE = 1e-6
 
@@ -146,9 +146,7 @@ def postselected_moments(c, eta_min):
         return tuple(c.eta0_norm ** n * _displacement_average(
             n, math.sqrt(c.sigma_bw2), c.weibull, xi_max) / acceptance
             for n in (1, 2)) + (acceptance,)
-    sig = c.sigma_r0
-    mu = composite_mu(c, c.radii)
-    w = c.weights / special.ndtr(mu / sig)
+    sig, mu, w = c.sigma_r0, c.node_mu, c.node_coef
     ln_min = math.log(eta_min) if eta_min > 0.0 else -math.inf
 
     def partial(n):

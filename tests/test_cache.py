@@ -5,10 +5,9 @@ import os
 
 import pytest
 
-from turbchan import (ChannelParams, StatsBudget, cached_channel_stats,
-                      cached_channel_stats_many, channel_stats,
-                      default_cache_dir, stats_cache_get, stats_cache_put,
-                      stats_key)
+from turbchan import (ChannelParams, StatsBudget, cached_channel_stats_many,
+                      channel_stats, default_cache_dir, stats_cache_get,
+                      stats_cache_put, stats_key)
 
 BUDGET = StatsBudget(10)
 
@@ -97,19 +96,22 @@ def test_garbage_file_degrades_to_miss(tmp_path, chan):
 
 
 def test_read_through_wrapper(tmp_path, chan):
-    s1, hit1 = cached_channel_stats(chan, BUDGET, seed=0, cache_dir=tmp_path)
+    s1, hit1 = cached_channel_stats_many([chan], BUDGET, seed=0,
+                                         cache_dir=tmp_path)[0]
     assert hit1 is False
-    s2, hit2 = cached_channel_stats(chan, BUDGET, seed=0, cache_dir=tmp_path)
+    s2, hit2 = cached_channel_stats_many([chan], BUDGET, seed=0,
+                                         cache_dir=tmp_path)[0]
     assert hit2 is True
     assert_stats_equal(s1, s2)
     # A different seed is a different entry.
-    _, hit3 = cached_channel_stats(chan, BUDGET, seed=1, cache_dir=tmp_path)
+    _, hit3 = cached_channel_stats_many([chan], BUDGET, seed=1,
+                                        cache_dir=tmp_path)[0]
     assert hit3 is False
 
 
 def test_batched_wrapper_computes_only_misses(tmp_path, chan):
     chans = [chan.replace(length=L) for L in (1000.0, 2000.0, 3000.0)]
-    cached_channel_stats(chans[1], BUDGET, seed=0, cache_dir=tmp_path)
+    cached_channel_stats_many([chans[1]], BUDGET, seed=0, cache_dir=tmp_path)
     got = cached_channel_stats_many(chans, BUDGET, seed=0, cache_dir=tmp_path)
     assert [hit for _, hit in got] == [False, True, False]
     for c, (stats, _) in zip(chans, got):
@@ -121,12 +123,12 @@ def test_batched_wrapper_computes_only_misses(tmp_path, chan):
 
 
 def test_disabled_cache_never_touches_disk(tmp_path, chan):
-    s1, hit = cached_channel_stats(chan, BUDGET, seed=0, cache_dir=tmp_path,
-                                   enabled=False)
+    s1, hit = cached_channel_stats_many([chan], BUDGET, seed=0,
+                                        cache_dir=tmp_path, enabled=False)[0]
     assert hit is False
     assert list(tmp_path.iterdir()) == []
-    s2, hit = cached_channel_stats(chan, BUDGET, seed=0, cache_dir=tmp_path,
-                                   enabled=False)
+    s2, hit = cached_channel_stats_many([chan], BUDGET, seed=0,
+                                        cache_dir=tmp_path, enabled=False)[0]
     assert hit is False
     assert_stats_equal(s1, s2)
 
@@ -141,8 +143,8 @@ def test_env_var_selects_default_dir(tmp_path, monkeypatch):
 def test_env_var_used_by_wrapper(tmp_path, monkeypatch, chan):
     target = tmp_path / "envcache"
     monkeypatch.setenv("TURBCHAN_CACHE_DIR", str(target))
-    _, hit = cached_channel_stats(chan, BUDGET, seed=0)
+    _, hit = cached_channel_stats_many([chan], BUDGET, seed=0)[0]
     assert hit is False
     assert target.exists() and len(list(target.iterdir())) == 1
-    _, hit = cached_channel_stats(chan, BUDGET, seed=0)
+    _, hit = cached_channel_stats_many([chan], BUDGET, seed=0)[0]
     assert hit is True

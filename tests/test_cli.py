@@ -341,6 +341,8 @@ def test_table_needs_its_keys_whatever_outputs_lists(table, key, tmp_path,
 @pytest.mark.parametrize("extra,argv", [
     (["budget.log2_total = 7"], []),
     ([], ["--budget", "5"]),
+    (["scenario.seed = -1"], []),
+    ([], ["--seed", "-1"]),
 ])
 def test_budget_below_minimum_is_config_error(extra, argv, tmp_path,
                                               capsys):
@@ -348,8 +350,10 @@ def test_budget_below_minimum_is_config_error(extra, argv, tmp_path,
         "channel.cn2 = 4e-14",
         "channel.length = 1 km",
     ] + GEOM + extra)
-    assert "budget.log2_total" in config_error("stats", cfg, tmp_path,
-                                               capsys, argv)
+    # The error names the key the case sets, in the file or as an override.
+    key = ("scenario.seed" if "seed" in str(extra + argv)
+           else "budget.log2_total")
+    assert key in config_error("stats", cfg, tmp_path, capsys, argv)
 
 
 def test_missing_scenario_exit_code(tmp_path):

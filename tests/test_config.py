@@ -238,9 +238,12 @@ def test_decoy_errors_wrapped(tmp_path):
     ("pdt.eta_step = 0", "pdt.eta_step"),
     ("pdt.sample_count = 1", "pdt.sample_count"),
     ("tracking.jitter2 = -1e-9", "tracking.jitter2"),
+    ("scenario.seed = -1", "scenario.seed"),
 ])
 def test_scalar_bounds(tmp_path, line, field):
-    err = load_error(tmp_path, BASE + [line])
+    # A key BASE sets is commented out there, so line 9 is its only value.
+    base = ["# " + l if l.startswith(field + " ") else l for l in BASE]
+    err = load_error(tmp_path, base + [line])
     assert err.field == field
     assert err.line == 9
 

@@ -14,3 +14,13 @@ def test_quick_start_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     family, rate = capsys.readouterr().out.split()[1:]
     assert family == "composite" and float(rate) > 0.0
+
+
+def test_key_list_matches_schema():
+    from turbchan.config import _SCHEMA
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Scenario files"):]
+    section = section[:section.index("\n### ", 1)]
+    listed = re.findall(r"^\| `([a-z0-9_.]+)` \|", section, flags=re.MULTILINE)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(_SCHEMA)
