@@ -1,10 +1,12 @@
 """Command-line pipeline: scenario file to CSV tables plus a run manifest.
 
-Each subcommand produces one table. CSV bodies are deterministic for a given
-scenario and seed (comma-separated, LF endings, 9 significant digits); the
-manifest records inputs, derived seeds, versions, cache activity, stage
-diagnostics and timings; its timestamp and timings are the only parts that
-vary from run to run.
+Each subcommand produces one table from a channel list and a rows function
+of those channels' stats; _run looks the stats up in one batch, so only it
+touches the stats cache. CSV bodies are deterministic for a given scenario
+and seed (comma-separated, LF endings, 9 significant digits); the manifest
+records inputs, derived seeds, versions, cache activity, stage diagnostics
+and timings; its timestamp and timings are the only parts that vary from
+run to run.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import scipy
 
 from .cache import cached_channel_stats_many, default_cache_dir
 from .channel import rytov_parameter
-from .config import Scenario, load_scenario
+from .config import load_scenario
 from .errors import (ApproximationBreakdown, ConfigError,
                      QuadratureNotConverged, TurbchanError)
 from .kernels import KERNEL_VERSION
@@ -34,12 +36,14 @@ from .qkd import averaged_key_rate, mean_loss_db, relative_improvement
 from .tracking import (attenuated_squeezing_db, postselected_moments,
                        tracked_exceedance, tracked_pdt)
 
-EXIT_OK = 0
-EXIT_GENERIC = 1
-EXIT_CONFIG = 2
-EXIT_CONVERGENCE = 3
-EXIT_BREAKDOWN = 4
-EXIT_IO = 5
+# (error class, exit code, stderr label); main reports the first match.
+EXIT_CODES = (
+    (ConfigError, 2, "config error"),
+    (QuadratureNotConverged, 3, "convergence failure"),
+    (ApproximationBreakdown, 4, "model breakdown"),
+    (OSError, 5, "i/o error"),
+    (TurbchanError, 1, "error"),
+)
 
 MANIFEST_FORMAT = "turbchan.run-manifest"
 MANIFEST_VERSION = 1
@@ -80,32 +84,47 @@ def _eta_grid(step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
-def _stats_many(scenario: Scenario, channels, args, seeds, timings):
-    """Channel stats through the cache, one batch; (stats, hit) per channel.
-
-    Adds the seconds of the lookup, QMC included, to timings["stats_s"].
-    """
-    budget = StatsBudget(scenario.budget_log2)
-    t0 = time.perf_counter()
-    out = cached_channel_stats_many(channels, budget, seed=seeds["stats"],
-                                    cache_dir=args.cache_dir,
-                                    enabled=not args.no_cache)
-    timings["stats_s"] += time.perf_counter() - t0
-    return out
+def _one_channel(scenario):
+    return [scenario.channel]
 
 
-def _law(scenario: Scenario, st, diag):
-    """The channel's transmittance law; its family and, for a point mass,
-    its atom go to the manifest."""
-    law = composite_pdt_build(st, scenario.channel.aperture_radius)
-    diag["pdt_family"] = law.family
-    diag["pdt_atom"] = law.atom
+def _squeezing_channels(scenario):
+    if not scenario.postselection_eta_min:
+        raise ConfigError("the squeezing table needs thresholds",
+                          field="postselection.eta_min")
+    if not scenario.squeezing_input_db < 0.0:
+        raise ConfigError("input squeezing must be negative dB",
+                          field="squeezing.input_db")
+    return [scenario.channel]
+
+
+def _sweep_channels(scenario):
+    if not scenario.sweep_lengths:
+        raise ConfigError("the sweep table needs lengths",
+                          field="sweep.lengths")
+    return [scenario.channel.replace(length=L)
+            for L in scenario.sweep_lengths]
+
+
+def _window(law, st):
+    """Where a law sits against the Weibull window: a/W_ST, which picks its
+    family (pdt.RATIO_RANGE), and sigma_bw^2/W_ST^2."""
+    return {"aperture_ratio": law.weibull.ratio,
+            "wander_ratio2": st.sigma_bw2 / st.wst2}
+
+
+def _law(looked_up, diag):
+    """The one channel's transmittance law; its stats, family, the atom of
+    a point mass and its window ratios go to the manifest."""
+    (channel, st), = looked_up
+    law = composite_pdt_build(st, channel.aperture_radius)
+    diag.update(stats=st.diagnostics, pdt_family=law.family,
+                pdt_atom=law.atom, **_window(law, st))
     return law
 
 
-def _table_stats(scenario, args, seeds, diag, timings):
-    channel = scenario.channel
-    st, hit = _stats_many(scenario, [channel], args, seeds, timings)[0]
+def _stats_rows(scenario, looked_up, seeds, diag, workers):
+    (channel, st), = looked_up
     diag["stats"] = st.diagnostics
     header = ["scenario_id", "seed", "cn2", "length_m", "mean_eta",
               "se_mean_eta", "mean_eta2", "se_mean_eta2", "sigma_bw2",
@@ -113,28 +132,22 @@ def _table_stats(scenario, args, seeds, diag, timings):
     row = [scenario.scenario_id, scenario.seed, channel.cn2, channel.length,
            st.mean_eta, st.se_mean_eta, st.mean_eta2, st.se_mean_eta2,
            st.sigma_bw2, st.se_sigma_bw2, st.wst2, rytov_parameter(channel)]
-    return header, [row], [hit]
+    return header, [row]
 
 
-def _table_pdt(scenario, args, seeds, diag, timings):
-    st, hit = _stats_many(scenario, [scenario.channel], args, seeds,
-                          timings)[0]
-    diag["stats"] = st.diagnostics
-    law = _law(scenario, st, diag)
+def _pdt_rows(scenario, looked_up, seeds, diag, workers):
+    law = _law(looked_up, diag)
     grid = _eta_grid(scenario.eta_step)
     dens = composite_pdt_density(grid, law)
     header = ["scenario_id", "seed", "family", "eta", "density"]
     rows = [[scenario.scenario_id, scenario.seed, law.family, float(e),
              float(d)]
             for e, d in zip(grid, dens)]
-    return header, rows, [hit]
+    return header, rows
 
 
-def _table_exceedance(scenario, args, seeds, diag, timings):
-    st, hit = _stats_many(scenario, [scenario.channel], args, seeds,
-                          timings)[0]
-    diag["stats"] = st.diagnostics
-    law = _law(scenario, st, diag)
+def _exceedance_rows(scenario, looked_up, seeds, diag, workers):
+    law = _law(looked_up, diag)
     grid = _eta_grid(scenario.eta_step)
     header = ["scenario_id", "seed", "fraction", "eta", "density",
               "exceedance"]
@@ -146,20 +159,11 @@ def _table_exceedance(scenario, args, seeds, diag, timings):
         rows.extend([scenario.scenario_id, scenario.seed, float(f), float(e),
                      float(d), float(x)]
                     for e, d, x in zip(grid, dens, exc))
-    return header, rows, [hit]
+    return header, rows
 
 
-def _table_squeezing(scenario, args, seeds, diag, timings):
-    if not scenario.postselection_eta_min:
-        raise ConfigError("the squeezing table needs thresholds",
-                          field="postselection.eta_min")
-    if not scenario.squeezing_input_db < 0.0:
-        raise ConfigError("input squeezing must be negative dB",
-                          field="squeezing.input_db")
-    st, hit = _stats_many(scenario, [scenario.channel], args, seeds,
-                          timings)[0]
-    diag["stats"] = st.diagnostics
-    law = _law(scenario, st, diag)
+def _squeezing_rows(scenario, looked_up, seeds, diag, workers):
+    law = _law(looked_up, diag)
     header = ["scenario_id", "seed", "fraction", "eta_min", "acceptance",
               "mean_eta_ps", "squeezing_db"]
     rows = []
@@ -170,7 +174,7 @@ def _table_squeezing(scenario, args, seeds, diag, timings):
             sq = attenuated_squeezing_db(scenario.squeezing_input_db, m1)
             rows.append([scenario.scenario_id, scenario.seed, float(f),
                          float(eta_min), acc, m1, sq])
-    return header, rows, [hit]
+    return header, rows
 
 
 QKD_HEADER = ["scenario_id", "seed", "length_m", "family", "mean_loss_db",
@@ -201,51 +205,40 @@ def _qkd_point(scenario, channel, st, seeds):
            res.rate, res.std_error, res.diagnostics["raw_mean"], rate_t, imp]
     point_diag = {"length_m": channel.length, "family": family,
                   "mean_loss_db": loss, "stats": st.diagnostics,
-                  "rate_diag": res.diagnostics}
+                  "rate_diag": res.diagnostics, **_window(law, st)}
     return row, point_diag
 
 
-def _qkd_rows(scenario, channels, args, seeds, diag, timings):
-    """The key-rate table, one row per channel."""
-    # One batched lookup: the missing lengths share one covariance pass.
-    # The workers only parallelize the per-point downstream work.
-    looked_up = _stats_many(scenario, channels, args, seeds, timings)
-    stats = [st for st, _ in looked_up]
-    workers = max(1, getattr(args, "workers", 1))
+def _qkd_rows(scenario, looked_up, seeds, diag, workers):
+    """The key-rate table, one row per channel; the workers parallelize
+    only this per-point work."""
+    def point(pair):
+        return _qkd_point(scenario, *pair, seeds)
 
-    def point(channel, st):
-        return _qkd_point(scenario, channel, st, seeds)
-
-    if workers == 1:
-        results = list(map(point, channels, stats))
+    if workers <= 1:
+        results = list(map(point, looked_up))
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(point, channels, stats))
+            results = list(ex.map(point, looked_up))
     diag["points"] = [d for _, d in results]
-    return (QKD_HEADER, [row for row, _ in results],
-            [hit for _, hit in looked_up])
+    return QKD_HEADER, [row for row, _ in results]
 
 
-def _table_qkd(scenario, args, seeds, diag, timings):
-    return _qkd_rows(scenario, [scenario.channel], args, seeds, diag, timings)
-
-
-def _table_sweep(scenario, args, seeds, diag, timings):
-    if not scenario.sweep_lengths:
-        raise ConfigError("the sweep table needs lengths",
-                          field="sweep.lengths")
-    channels = [scenario.channel.replace(length=L)
-                for L in scenario.sweep_lengths]
-    return _qkd_rows(scenario, channels, args, seeds, diag, timings)
-
-
+# name: (help, channel list, rows function).  The channel list checks the
+# keys the table needs before any stats lookup; the rows function gets
+# (channel, stats) pairs and does no I/O.
 _TABLES = {
-    "stats": _table_stats,
-    "pdt": _table_pdt,
-    "exceedance": _table_exceedance,
-    "squeezing": _table_squeezing,
-    "qkd": _table_qkd,
-    "sweep": _table_sweep,
+    "stats": ("aperture-transmittance moments of the channel",
+              _one_channel, _stats_rows),
+    "pdt": ("transmittance density on an eta grid", _one_channel, _pdt_rows),
+    "exceedance": ("density and exceedance per tracking fraction",
+                   _one_channel, _exceedance_rows),
+    "squeezing": ("postselected squeezing per threshold",
+                  _squeezing_channels, _squeezing_rows),
+    "qkd": ("decoy-state key rate at the scenario channel", _one_channel,
+            _qkd_rows),
+    "sweep": ("key rate versus propagation length", _sweep_channels,
+              _qkd_rows),
 }
 
 
@@ -255,13 +248,20 @@ def _run(args) -> int:
         key: str(value) for key, value in overrides.items()
         if value is not None})
     seeds = _derived_seeds(scenario.seed)
-    diag = {}
-    timings = {"stats_s": 0.0}
+    workers = getattr(args, "workers", 1)
+    _, channels_of, rows_of = _TABLES[args.command]
+    channels = channels_of(scenario)
     t0 = time.perf_counter()
-
-    # Tables return one cache-hit flag per stats lookup.
-    header, rows, hits = _TABLES[args.command](scenario, args, seeds, diag,
-                                               timings)
+    # One batched lookup: the missing channels share one covariance pass.
+    looked_up = cached_channel_stats_many(
+        channels, StatsBudget(scenario.budget_log2), seed=seeds["stats"],
+        cache_dir=args.cache_dir, enabled=not args.no_cache)
+    timings = {"stats_s": time.perf_counter() - t0}
+    hits = [hit for _, hit in looked_up]
+    diag = {}
+    header, rows = rows_of(
+        scenario, [(c, st) for c, (st, _) in zip(channels, looked_up)],
+        seeds, diag, workers)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -278,7 +278,7 @@ def _run(args) -> int:
         "scenario_file": str(args.scenario),
         "scenario": dataclasses.asdict(scenario),
         "cli_overrides": {"seed": args.seed, "budget": args.budget,
-                          "workers": getattr(args, "workers", 1)},
+                          "workers": workers},
         "seeds": seeds,
         "versions": {"turbchan": _package_version(),
                      "kernel": KERNEL_VERSION,
@@ -298,7 +298,7 @@ def _run(args) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print("wrote %s and %s" % (csv_path, manifest_path))
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,13 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transmittance statistics and key rates for turbulent "
                     "free-space channels.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-            ("stats", "aperture-transmittance moments of the channel"),
-            ("pdt", "transmittance density on an eta grid"),
-            ("exceedance", "density and exceedance per tracking fraction"),
-            ("squeezing", "postselected squeezing per threshold"),
-            ("qkd", "decoy-state key rate at the scenario channel"),
-            ("sweep", "key rate versus propagation length")]:
+    for name, (help_text, _, _) in _TABLES.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="scenario config file")
         p.add_argument("--seed", type=int, default=None,
@@ -340,21 +334,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    except QuadratureNotConverged as exc:
-        print("convergence failure: %s" % exc, file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except ApproximationBreakdown as exc:
-        print("model breakdown: %s" % exc, file=sys.stderr)
-        return EXIT_BREAKDOWN
-    except OSError as exc:
-        print("i/o error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    except TurbchanError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_GENERIC
+    except tuple(cls for cls, _, _ in EXIT_CODES) as exc:
+        code, label = next((code, label) for cls, code, label in EXIT_CODES
+                           if isinstance(exc, cls))
+        print("%s: %s" % (label, exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

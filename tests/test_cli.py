@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from turbchan.cli import main
+from turbchan.pdt import RATIO_RANGE
 from turbchan.kernels.gamma4 import qmc_threads
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -83,6 +84,10 @@ def test_pdt_grid_and_family(tmp_path):
     assert all(float(r["density"]) >= 0.0 for r in rows)
     man = json.loads((out / "t1_pdt_manifest.json").read_text())
     assert man["diagnostics"]["pdt_family"] == "composite"
+    # Inside the Weibull window, with the beam wandering.
+    lo, hi = RATIO_RANGE
+    assert lo <= man["diagnostics"]["aperture_ratio"] <= hi
+    assert man["diagnostics"]["wander_ratio2"] > 0.0
 
 
 def test_pdt_lognormal_fallback(tmp_path):
@@ -255,6 +260,22 @@ def test_sweep_from_partly_filled_cache(tmp_path):
             == (out2 / "t1_sweep.csv").read_bytes())
 
 
+def test_sweep_records_weibull_window(tmp_path):
+    # 16 km lies below the window: the law there drops the wandering, which
+    # the manifest shows beside the family.
+    cfg = turb_cfg(tmp_path, extra=["sweep.lengths = 1 km, 16 km"])
+    rc, out = run(["sweep", cfg, "--no-cache", "--budget", "10"], tmp_path,
+                  "o1")
+    assert rc == 0
+    points = json.loads((out / "t1_sweep_manifest.json").read_text())[
+        "diagnostics"]["points"]
+    assert [p["length_m"] for p in points] == [1000.0, 16000.0]
+    for p in points:
+        assert p["aperture_ratio"] > 0.0 and p["wander_ratio2"] > 0.0
+    assert points[1]["aperture_ratio"] < RATIO_RANGE[0]
+    assert points[1]["family"] == "lognormal"
+
+
 def test_manifest_shape(tmp_path):
     cfg = turb_cfg(tmp_path)
     rc, out = run(["stats", cfg, "--no-cache"], tmp_path, "o1")
@@ -299,12 +320,14 @@ def test_config_error_exit_code(tmp_path):
 
 
 def config_error(table, cfg, tmp_path, capsys, extra=()):
-    """Run a table that must fail as a config error before writing any
-    output; returns its stderr."""
-    out = tmp_path / "o"
-    rc = main([table, cfg, "--no-cache", "--out-dir", str(out)] + list(extra))
+    """Run a table that must fail as a config error before its stats lookup
+    and before writing any output; returns its stderr."""
+    out, cache = tmp_path / "o", tmp_path / "cache"
+    rc = main([table, cfg, "--cache-dir", str(cache), "--out-dir", str(out)]
+              + list(extra))
     assert rc == 2
     assert not out.exists()
+    assert not cache.exists() or not any(cache.iterdir())
     return capsys.readouterr().err
 
 

@@ -24,3 +24,16 @@ def test_key_list_matches_schema():
     listed = re.findall(r"^\| `([a-z0-9_.]+)` \|", section, flags=re.MULTILINE)
     assert len(listed) == len(set(listed))
     assert set(listed) == set(_SCHEMA)
+
+
+def test_exit_codes_match_cli():
+    from turbchan.cli import EXIT_CODES
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("Exit codes"):]
+    section = section[:section.index("\n\n", section.index("|"))]
+    listed = re.findall(r"^\| (\d+) \| *`?([a-z/ ]*?)`? *\|", section,
+                        flags=re.MULTILINE)
+    assert listed[0] == ("0", "")
+    assert len(listed) == len({code for code, _ in listed})
+    assert set(listed[1:]) == {(str(code), label)
+                               for _, code, label in EXIT_CODES}
