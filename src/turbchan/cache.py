@@ -19,7 +19,6 @@ import warnings
 from pathlib import Path
 
 from .channel import ChannelParams
-from .errors import CacheCorrupt
 from .kernels import KERNEL_VERSION
 from .kernels.stats import BeamStats, StatsBudget, channel_stats_many
 
@@ -35,8 +34,10 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "turbchan"
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _digest(obj) -> str:
+    """sha256 of the canonical (sorted, compact) JSON of obj."""
+    body = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def stats_key(params: ChannelParams, budget: StatsBudget, seed: int) -> str:
@@ -47,7 +48,7 @@ def stats_key(params: ChannelParams, budget: StatsBudget, seed: int) -> str:
         "seed": int(seed),
         "kernel_version": KERNEL_VERSION,
     }
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+    return _digest(payload)
 
 
 def _entry_path(cache_dir, key) -> Path:
@@ -59,13 +60,12 @@ def stats_cache_put(key: str, stats: BeamStats, cache_dir=None) -> Path:
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
     payload = dataclasses.asdict(stats)
-    body = _canonical(payload)
     entry = {
         "format": CACHE_FORMAT,
         "version": CACHE_VERSION,
         "key": key,
         "payload": payload,
-        "payload_sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+        "payload_sha256": _digest(payload),
         "written_at": time.time(),
     }
     path = _entry_path(cache_dir, key)
@@ -86,8 +86,9 @@ def stats_cache_put(key: str, stats: BeamStats, cache_dir=None) -> Path:
 def stats_cache_get(key: str, cache_dir=None):
     """Return the cached BeamStats for key, or None on miss.
 
-    Corrupt entries (unreadable JSON, wrong format, payload hash mismatch)
-    are reported with a warning and treated as misses.
+    Corrupt entries (unreadable JSON or not an entry object, wrong format,
+    payload hash mismatch) are reported with a warning and treated as
+    misses.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = _entry_path(cache_dir, key)
@@ -98,20 +99,17 @@ def stats_cache_get(key: str, cache_dir=None):
         if (entry.get("format") != CACHE_FORMAT
                 or entry.get("version") != CACHE_VERSION
                 or entry.get("key") != key):
-            raise CacheCorrupt("entry header does not match key %s" % key)
-        payload = entry["payload"]
-        body = _canonical(payload)
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        if digest != entry.get("payload_sha256"):
-            raise CacheCorrupt("payload hash mismatch in %s" % path)
-        return BeamStats(**payload)
-    except CacheCorrupt as exc:
-        warnings.warn("stats cache: %s; recomputing" % exc, RuntimeWarning)
-        return None
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        warnings.warn("stats cache: unreadable entry %s (%s); recomputing"
-                      % (path, exc), RuntimeWarning)
-        return None
+            problem = "entry header does not match key %s" % key
+        elif _digest(entry["payload"]) != entry.get("payload_sha256"):
+            problem = "payload hash mismatch in %s" % path
+        else:
+            return BeamStats(**entry["payload"])
+    # AttributeError: the entry is not a JSON object; TypeError: its
+    # payload does not fit BeamStats.
+    except (ValueError, KeyError, TypeError, AttributeError, OSError) as exc:
+        problem = "unreadable entry %s (%s)" % (path, exc)
+    warnings.warn("stats cache: %s; recomputing" % problem, RuntimeWarning)
+    return None
 
 
 def cached_channel_stats_many(channels, budget: StatsBudget, seed: int = 0,

@@ -89,7 +89,8 @@ _SCHEMA = {
     "pdt.sample_count": _Key("pdt_sample_count", "int", 10_000, _bound(
         lambda n: n >= 2, "sample_count must be >= 2")),
     "pdt.eta_step": _Key("eta_step", "float", 0.002, _bound(
-        lambda s: 0.0 < s <= 0.5, "eta_step must lie in (0, 0.5]")),
+        lambda s: 0.0 < s <= 0.5 and abs(1.0 / s - round(1.0 / s)) <= 1e-9,
+        "eta_step must be 1/n for an integer n >= 2")),
     "tracking.fractions": _Key("tracking_fractions", "list_float", (0.0,),
                                _bound(lambda f: 0.0 <= f <= 1.0,
                                       "fractions must lie in [0, 1]")),

@@ -35,7 +35,8 @@ class QuadratureNotConverged(TurbchanError):
 
 
 class StatsInvariantViolation(TurbchanError):
-    """Sampling noise broke a moment inequality by more than 3 standard errors."""
+    """Sampling noise broke a moment inequality by more than 3 standard
+    errors, or the short-term beam width came out non-positive."""
 
 
 class DomainError(TurbchanError):
@@ -51,7 +52,7 @@ class ApproximationBreakdown(TurbchanError):
 
 
 class InvalidTracking(TurbchanError):
-    """Tracking correction exceeds the available wandering variance."""
+    """Tracking fraction outside [0, 1] or negative jitter variance."""
 
 
 class EmptyPostselection(TurbchanError):
@@ -64,7 +65,3 @@ class DecoyOrderingViolation(TurbchanError):
 
 class DivisionByZeroRate(TurbchanError):
     """Relative improvement is undefined when the reference rate is zero."""
-
-
-class CacheCorrupt(TurbchanError):
-    """A cache entry failed its integrity check; treated as a miss upstream."""

@@ -58,21 +58,6 @@ def stable_coeff(params: ChannelParams) -> float:
     return float(0.5 * ds_colinear(1.0, ds_prefactor(params)))
 
 
-def envelope_exponent(params: ChannelParams):
-    """rho -> -rho^2/(2 W0^2) - D_S(0, rho)/2, the exponent of g.
-
-    The two constants are bound once; the returned function takes a float
-    or an array.
-    """
-    two_w02 = 2.0 * params.w0 ** 2
-    c = stable_coeff(params)
-
-    def exponent(rho):
-        return -rho * rho / two_w02 - c * rho ** (5.0 / 3.0)
-
-    return exponent
-
-
 @functools.lru_cache(maxsize=32)
 def envelope_support(params: ChannelParams) -> float:
     """R_sup, the source-plane radius where the envelope exponent
@@ -121,13 +106,15 @@ def hankel_rule(params: ChannelParams, n: int):
     panels past PANEL_NODES), and on the compound with twice the panels
     (two halves for a one-panel rule), the error reference."""
     rsup = envelope_support(params)
-    exponent = envelope_exponent(params)
+    two_w02 = 2.0 * params.w0 ** 2
+    c = stable_coeff(params)
     m = min(n, PANEL_NODES)
     x, w = gauss_legendre(m)
 
     def weighted(panels):
         rho = rsup * ((np.arange(panels)[:, None] + x) / panels).ravel()
-        return rho, rsup / panels * np.tile(w, panels) * np.exp(exponent(rho))
+        exponent = -rho * rho / two_w02 - c * rho ** (5.0 / 3.0)
+        return rho, rsup / panels * np.tile(w, panels) * np.exp(exponent)
 
     return weighted(n // m), weighted(2 * n // m)
 

@@ -111,20 +111,16 @@ def _gaussian_coords(u, w0):
     return z * (w0 / math.sqrt(2.0))
 
 
-def pair_exponent(r2x, r2y, r3x, r3y, prefactor):
-    """Exponent S2 of the product of two mean intensities, same variables."""
-    return -0.5 * (ds_colinear(np.hypot(r2x - r3x, r2y - r3y), prefactor)
-                   + ds_colinear(np.hypot(r2x + r3x, r2y + r3y), prefactor))
-
-
 def grouped_exponent(ux, uy, r1x, r1y, r2x, r2y, r3x, r3y, prefactor):
     """The grouped exponent S (non-positive up to noise) and its pair part S2.
 
-    S is S2 plus the four u-dependent segment terms, so the colinear pair
-    terms are evaluated once for both. Returns (S, S2).
+    S2 is the exponent of the product of two mean intensities in the same
+    variables; S is S2 plus the four u-dependent segment terms, so the
+    colinear pair terms are evaluated once for both. Returns (S, S2).
     """
     nodes, weights = gauss_legendre(SEGMENT_NODES)
-    s2 = pair_exponent(r2x, r2y, r3x, r3y, prefactor)
+    s2 = -0.5 * (ds_colinear(np.hypot(r2x - r3x, r2y - r3y), prefactor)
+                 + ds_colinear(np.hypot(r2x + r3x, r2y + r3y), prefactor))
     d = ds_segment(ux, uy, r1x - r2x, r1y - r2y, prefactor, nodes, weights)
     d += ds_segment(ux, uy, r1x + r2x, r1y + r2y, prefactor, nodes, weights)
     d -= ds_segment(ux, uy, r1x - r3x, r1y - r3y, prefactor, nodes, weights)

@@ -228,14 +228,6 @@ def _floored(se: float, value: float) -> float:
     return max(se, SE_FLOOR * (1.0 + abs(value)))
 
 
-def _eta2_result(mean_eta: float, cov: QmcResult) -> QmcResult:
-    """Mean-square transmittance: squared mean plus the flux covariance."""
-    diag = dict(cov.diagnostics)
-    diag["flux_covariance"] = cov.value
-    diag["mean_eta_sq"] = mean_eta ** 2
-    return QmcResult(mean_eta ** 2 + cov.value, cov.std_error, diag)
-
-
 def _quadrature_stats(params: ChannelParams) -> dict:
     """The deterministic part of channel_stats: everything but mean_eta2.
 
@@ -262,9 +254,10 @@ def _quadrature_stats(params: ChannelParams) -> dict:
     }
 
 
-def _beam_stats(fields: dict, res: QmcResult) -> BeamStats:
-    """BeamStats from the quadrature fields and the mean-square estimate,
-    clamping moment-inequality violations within 3 standard errors.
+def _beam_stats(fields: dict, cov: QmcResult) -> BeamStats:
+    """BeamStats from the quadrature fields and the flux covariance, whose
+    sum with mean_eta^2 is the mean-square transmittance; moment-inequality
+    violations within 3 standard errors are clamped.
 
     diagnostics["eta2"]["bound_margin"] is (mean_eta - mean_eta2) / se of
     the estimate before any clamp, negative when it lies above the mean_eta
@@ -272,13 +265,14 @@ def _beam_stats(fields: dict, res: QmcResult) -> BeamStats:
     """
     mean_eta = fields["mean_eta"]
     diagnostics = fields["diagnostics"]
-    mean_eta2 = res.value
-    se_me2 = _floored(res.std_error, mean_eta2)
-    diagnostics["eta2"] = dict(res.diagnostics,
+    lo, hi = mean_eta ** 2, mean_eta
+    mean_eta2 = lo + cov.value
+    se_me2 = _floored(cov.std_error, mean_eta2)
+    diagnostics["eta2"] = dict(cov.diagnostics, flux_covariance=cov.value,
+                               mean_eta_sq=lo,
                                bound_margin=(mean_eta - mean_eta2) / se_me2)
 
     clamped = []
-    lo, hi = mean_eta ** 2, mean_eta
     if mean_eta2 < lo:
         if lo - mean_eta2 > 3.0 * se_me2:
             raise StatsInvariantViolation(
@@ -312,8 +306,7 @@ def channel_stats_many(channels, budget: StatsBudget | None = None,
     fields = [_quadrature_stats(c) for c in channels]
     log2_points = budget.log2_total - (REPLICATES.bit_length() - 1)
     covs = aperture_cov_qmc_many(channels, log2_points, seed)
-    return [_beam_stats(f, _eta2_result(f["mean_eta"], cov))
-            for f, cov in zip(fields, covs)]
+    return [_beam_stats(f, cov) for f, cov in zip(fields, covs)]
 
 
 def channel_stats(params: ChannelParams, budget: StatsBudget | None = None,

@@ -99,3 +99,16 @@ def test_warm_tables_meet_their_checks(tmp_path):
     checks.check_qkd(rows("qkd"), rows("sweep"))
     _, loss_ref = workloads.fig2_references()
     checks.check_sweep(rows("sweep"), loss_ref)
+
+
+def test_cold_fig2_pass_meets_its_checks(tmp_path):
+    # Two cold fig2 passes at the default budget, seed 0, each into a fresh
+    # cache: every table exits 0, the benchmark's fig2 checks hold and the
+    # two passes write the same CSV bytes.
+    outs = [tmp_path / run / "out" for run in ("a", "b")]
+    for out in outs:
+        done = workloads.fig2_pass(0, out.parent / "cache", out)
+        assert done.failed == 0
+    assert workloads.fig2_checks(outs[0]) == []
+    checks.check_same_bytes(checks.csv_bytes(outs[0]),
+                            checks.csv_bytes(outs[1]), "cold.same_bytes")

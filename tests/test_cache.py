@@ -1,5 +1,6 @@
 """Content-addressed stats cache: keys, integrity, read-through wrapper."""
 
+import hashlib
 import json
 import os
 
@@ -88,9 +89,20 @@ def test_version_mismatch_detected(tmp_path, chan, small_stats):
         assert stats_cache_get(key, tmp_path) is None
 
 
-def test_garbage_file_degrades_to_miss(tmp_path, chan):
+# A sound header over a list payload that carries its true hash.
+LIST_PAYLOAD = {"payload": [],
+                "payload_sha256": hashlib.sha256(b"[]").hexdigest()}
+
+
+@pytest.mark.parametrize(
+    "body", ["{ not json", "[]", "1", '"x"', LIST_PAYLOAD],
+    ids=["not-json", "list", "number", "string", "list-payload"])
+def test_garbage_file_degrades_to_miss(tmp_path, chan, small_stats, body):
     key = stats_key(chan, BUDGET, 0)
-    (tmp_path / (key + ".json")).write_text("{ not json")
+    path = stats_cache_put(key, small_stats, tmp_path)
+    if isinstance(body, dict):
+        body = json.dumps(dict(json.loads(path.read_text()), **body))
+    path.write_text(body)
     with pytest.warns(RuntimeWarning, match="unreadable"):
         assert stats_cache_get(key, tmp_path) is None
 

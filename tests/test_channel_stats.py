@@ -105,18 +105,20 @@ def _quadrature_fields(mean_eta):
 
 @pytest.mark.parametrize("bound", ["mean_eta", "mean_eta^2"])
 def test_bound_violation_beyond_3se_raises(bound):
-    # A raw mean_eta2 2.9 se past either moment bound is clamped onto it;
-    # 3.1 se past it raises.
+    # A flux covariance that puts the raw mean_eta2 2.9 se past either
+    # moment bound is clamped onto it; 3.1 se past it raises.
     mean_eta, se = 0.9, 1e-3
     edge, sign = ((mean_eta, 1.0) if bound == "mean_eta"
                   else (mean_eta ** 2, -1.0))
-    near = stats_module._beam_stats(_quadrature_fields(mean_eta),
-                                    QmcResult(edge + 2.9 * sign * se, se, {}))
+
+    def cov(k):
+        return QmcResult(edge + k * sign * se - mean_eta ** 2, se, {})
+
+    near = stats_module._beam_stats(_quadrature_fields(mean_eta), cov(2.9))
     assert near.mean_eta2 == edge
     assert near.diagnostics["clamped"] == ["mean_eta2->" + bound]
     with pytest.raises(StatsInvariantViolation):
-        stats_module._beam_stats(_quadrature_fields(mean_eta),
-                                 QmcResult(edge + 3.1 * sign * se, se, {}))
+        stats_module._beam_stats(_quadrature_fields(mean_eta), cov(3.1))
 
 
 def test_bound_margin_recorded(stats1, chan1):

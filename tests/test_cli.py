@@ -11,7 +11,8 @@ import pytest
 
 from turbchan.cli import main
 from turbchan.pdt import RATIO_RANGE
-from turbchan.kernels.gamma4 import qmc_threads
+from turbchan.kernels import stats as stats_module
+from turbchan.kernels.gamma4 import QmcResult, qmc_threads
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -397,6 +398,23 @@ def test_generic_error_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, [text, "postselection.eta_min = 0.9999999999"])
     assert main(["squeezing", cfg, "--no-cache",
                  "--out-dir", str(tmp_path / "o")]) == 1
+
+
+def test_stats_invariant_violation_exit_code(tmp_path, capsys,
+                                             monkeypatch):
+    # A flux covariance that puts mean_eta2 4 se above the mean_eta bound
+    # raises StatsInvariantViolation, which exits 1 with the generic label.
+    se = 1e-3
+
+    def over_bound(channels, log2_points, seed):
+        etas = [min(stats_module.mean_eta_quad(c)[0], 1.0) for c in channels]
+        return [QmcResult(e - e * e + 4.0 * se, se, {}) for e in etas]
+
+    monkeypatch.setattr(stats_module, "aperture_cov_qmc_many", over_bound)
+    cfg = str(SCENARIOS / "fig2_solid.cfg")
+    assert main(["stats", cfg, "--no-cache", "--budget", "8",
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: mean_eta2")
 
 
 def test_unknown_command_rejected():

@@ -236,6 +236,8 @@ def test_decoy_errors_wrapped(tmp_path):
 @pytest.mark.parametrize("line,field", [
     ("pdt.eta_step = 0.6", "pdt.eta_step"),
     ("pdt.eta_step = 0", "pdt.eta_step"),
+    ("pdt.eta_step = 0.4", "pdt.eta_step"),
+    ("pdt.eta_step = 0.3", "pdt.eta_step"),
     ("pdt.sample_count = 1", "pdt.sample_count"),
     ("tracking.jitter2 = -1e-9", "tracking.jitter2"),
     ("scenario.seed = -1", "scenario.seed"),
