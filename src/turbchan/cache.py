@@ -4,7 +4,9 @@ Entries are keyed by a sha256 over the channel parameters, the sampling
 budget, the RNG seed and the kernel version, so any change that could alter
 the numbers is a miss by construction. Files carry their own payload hash;
 a failed integrity check degrades to a miss with a warning rather than an
-error, since the pipeline can always recompute.
+error, since the pipeline can always recompute. A lookup that has to
+sample may also compute and store companion channels in the same pass, so
+that later lookups of them are hits.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import warnings
 from pathlib import Path
 
 from .channel import ChannelParams
+from .errors import TurbchanError
 from .kernels import KERNEL_VERSION
 from .kernels.stats import BeamStats, StatsBudget, channel_stats_many
 
@@ -113,23 +116,49 @@ def stats_cache_get(key: str, cache_dir=None):
 
 
 def cached_channel_stats_many(channels, budget: StatsBudget, seed: int = 0,
-                              cache_dir=None, enabled: bool = True) -> list:
+                              cache_dir=None, enabled: bool = True,
+                              companions=()) -> list:
     """channel_stats_many with a read-through cache.
 
     Reads every key first, computes only the misses in one batch (so they
     share one covariance pass, which needs a common w0 and aperture radius)
-    and writes each new entry. Returns one
-    (stats, hit) pair per channel; hit says whether the value came from
-    disk. A channel listed twice is computed once.
+    and writes each new entry. Returns one (stats, hit) pair per channel;
+    hit says whether the value came from disk. A channel listed twice is
+    computed once.
+
+    companions are channels the caller expects to need next (they must
+    share the w0 and aperture radius of channels). When some channel misses
+    and the cache is enabled, the companions not yet cached join the batch
+    and are written too, since adding a channel to a pass costs far less
+    than a pass of its own; no pair is returned for them. If that batch
+    fails, it is rerun on the requested misses alone, so a companion's
+    error never fails this call.
     """
     keys = [stats_key(p, budget, seed) for p in channels]
     found = {k: stats_cache_get(k, cache_dir) for k in keys} if enabled else {}
     missing = {k: p for k, p in zip(keys, channels) if found.get(k) is None}
-    fresh = dict(zip(missing, channel_stats_many(list(missing.values()),
+    if not missing:
+        return [(found[k], True) for k in keys]
+    batch = dict(missing)
+    if enabled:
+        for p in companions:
+            k = stats_key(p, budget, seed)
+            if (k not in found and k not in batch
+                    and stats_cache_get(k, cache_dir) is None):
+                batch[k] = p
+
+    def compute(todo):
+        return dict(zip(todo, channel_stats_many(list(todo.values()),
                                                  budget, seed=seed)))
+
+    try:
+        fresh = compute(batch)
+    except TurbchanError:
+        if len(batch) == len(missing):
+            raise
+        fresh = compute(missing)
     if enabled:
         for k, stats in fresh.items():
             stats_cache_put(k, stats, cache_dir)
     return [(fresh[k], False) if k in fresh else (found[k], True)
             for k in keys]
-

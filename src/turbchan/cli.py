@@ -2,11 +2,14 @@
 
 Each subcommand produces one table from a channel list and a rows function
 of those channels' stats; _run looks the stats up in one batch, so only it
-touches the stats cache. CSV bodies are deterministic for a given scenario
-and seed (comma-separated, LF endings, 9 significant digits); the manifest
-records inputs, derived seeds, versions, cache activity, stage diagnostics
-and timings; its timestamp and timings are the only parts that vary from
-run to run.
+touches the stats cache. A lookup that misses also fills the cache for every
+other channel of the scenario (the scenario channel and each sweep length)
+in the same covariance pass, so the tables after the first only read; a
+failure of one of those other channels never fails the table. CSV bodies
+are deterministic for a given scenario and seed (comma-separated, LF
+endings, 9 significant digits); the manifest records inputs, derived seeds,
+versions, cache activity, stage diagnostics and timings; its timestamp and
+timings are the only parts that vary from run to run.
 """
 
 from __future__ import annotations
@@ -91,12 +94,16 @@ def _squeezing_channels(scenario):
     return [scenario.channel]
 
 
+def _sweep_points(scenario):
+    return [scenario.channel.replace(length=L)
+            for L in scenario.sweep_lengths]
+
+
 def _sweep_channels(scenario):
     if not scenario.sweep_lengths:
         raise ConfigError("the sweep table needs lengths",
                           field="sweep.lengths")
-    return [scenario.channel.replace(length=L)
-            for L in scenario.sweep_lengths]
+    return _sweep_points(scenario)
 
 
 def _window(law, st):
@@ -239,19 +246,23 @@ _TABLES = {
 
 
 def _run(args) -> int:
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        raise ConfigError("workers must be >= 1", field="--workers")
     overrides = {"scenario.seed": args.seed, "budget.log2_total": args.budget}
     scenario = load_scenario(args.scenario, {
         key: str(value) for key, value in overrides.items()
         if value is not None})
     seeds = _derived_seeds(scenario.seed)
-    workers = getattr(args, "workers", 1)
     _, channels_of, rows_of = _TABLES[args.command]
     channels = channels_of(scenario)
     t0 = time.perf_counter()
-    # One batched lookup: the missing channels share one covariance pass.
+    # One batched lookup: the missing channels, and the scenario's other
+    # channels, which share w0 and the aperture, share one covariance pass.
     looked_up = cached_channel_stats_many(
         channels, StatsBudget(scenario.budget_log2), seed=seeds["stats"],
-        cache_dir=args.cache_dir, enabled=not args.no_cache)
+        cache_dir=args.cache_dir, enabled=not args.no_cache,
+        companions=[scenario.channel] + _sweep_points(scenario))
     timings = {"stats_s": time.perf_counter() - t0}
     hits = [hit for _, hit in looked_up]
     diag = {}
@@ -319,10 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for CSV and manifest output")
         if name == "sweep":
             p.add_argument("--workers", type=int, default=1,
-                           help="threads for the per-point downstream work; "
-                                "the stats of all lengths come from one "
-                                "shared pass (results do not depend on "
-                                "this)")
+                           help="threads (>= 1) for the per-point "
+                                "downstream work; the stats of all lengths "
+                                "come from one shared pass (results do not "
+                                "depend on this)")
     return parser
 
 

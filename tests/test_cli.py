@@ -9,12 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from turbchan import cache as cache_module
 from turbchan.cli import main
+from turbchan.errors import QuadratureNotConverged
 from turbchan.pdt import RATIO_RANGE
 from turbchan.kernels import stats as stats_module
 from turbchan.kernels.gamma4 import QmcResult, qmc_threads
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+FIG2 = str(SCENARIOS / "fig2_solid.cfg")
+FIG2_TABLES = ("stats", "pdt", "exceedance", "squeezing", "qkd", "sweep")
 
 GEOM = [
     "channel.wavelength = 800 nm",
@@ -244,7 +248,8 @@ def test_sweep_workers_cache_counts(tmp_path):
 
 def test_sweep_from_partly_filled_cache(tmp_path):
     # The batched lookup computes only the missing lengths; the CSV does not
-    # depend on which lengths were cached.
+    # depend on which lengths were cached.  part.cfg's sweep also filled its
+    # 1 km scenario channel.
     cfg = turb_cfg(tmp_path,
                    extra=["sweep.lengths = 1 km, 2 km, 3 km"])
     part = turb_cfg(tmp_path, extra=["sweep.lengths = 2 km"],
@@ -256,9 +261,66 @@ def test_sweep_from_partly_filled_cache(tmp_path):
                     tmp_path, "o2")
     assert rc0 == rc1 == rc2 == 0
     man = json.loads((out1 / "t1_sweep_manifest.json").read_text())
-    assert (man["cache"]["hits"], man["cache"]["misses"]) == (1, 2)
+    assert (man["cache"]["hits"], man["cache"]["misses"]) == (2, 1)
     assert ((out1 / "t1_sweep.csv").read_bytes()
             == (out2 / "t1_sweep.csv").read_bytes())
+
+
+def run_fig2(out, tables, extra):
+    """Run fig2 tables at --budget 10 into out; returns their exit codes."""
+    return [main([table, FIG2, "--budget", "10", "--out-dir", str(out)]
+                 + list(extra))
+            for table in tables]
+
+
+def same_csvs(out1, out2, tables):
+    return all((out1 / ("fig2-solid_%s.csv" % t)).read_bytes()
+               == (out2 / ("fig2-solid_%s.csv" % t)).read_bytes()
+               for t in tables)
+
+
+def test_cold_fig2_samples_once(tmp_path, monkeypatch):
+    # The first table's lookup computes all 11 channels of the scenario in
+    # one covariance pass; the five tables after it only read the cache.
+    batches = []
+    real = cache_module.channel_stats_many
+
+    def counted(channels, *args, **kwargs):
+        batches.append(len(channels))
+        return real(channels, *args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "channel_stats_many", counted)
+    out = tmp_path / "cached"
+    assert run_fig2(out, FIG2_TABLES,
+                    ["--cache-dir", str(tmp_path / "cache")]) == [0] * 6
+    assert batches == [11]
+    man = json.loads((out / "fig2-solid_sweep_manifest.json").read_text())
+    assert (man["cache"]["hits"], man["cache"]["misses"]) == (11, 0)
+    assert run_fig2(tmp_path / "direct", FIG2_TABLES,
+                    ["--no-cache"]) == [0] * 6
+    assert same_csvs(out, tmp_path / "direct", FIG2_TABLES)
+
+
+def test_companion_failure_fails_only_its_table(tmp_path, monkeypatch,
+                                                capsys):
+    # The stats lookup fills the sweep lengths too; 16 km failing there
+    # must not fail stats or pdt, only the sweep that needs it.
+    assert run_fig2(tmp_path / "ref", ("stats", "pdt"), ["--no-cache"]) \
+        == [0, 0]
+    real = stats_module._quadrature_stats
+
+    def fails_at_16km(params):
+        if params.length == 16000.0:
+            raise QuadratureNotConverged("radial rule too coarse")
+        return real(params)
+
+    monkeypatch.setattr(stats_module, "_quadrature_stats", fails_at_16km)
+    out, common = tmp_path / "out", ["--cache-dir", str(tmp_path / "cache")]
+    assert run_fig2(out, ("stats", "pdt"), common) == [0, 0]
+    assert same_csvs(out, tmp_path / "ref", ("stats", "pdt"))
+    capsys.readouterr()
+    assert run_fig2(out, ("sweep",), common) == [3]
+    assert capsys.readouterr().err.startswith("convergence failure:")
 
 
 def test_sweep_records_weibull_window(tmp_path):
@@ -378,6 +440,13 @@ def test_budget_below_minimum_is_config_error(extra, argv, tmp_path,
     key = ("scenario.seed" if "seed" in str(extra + argv)
            else "budget.log2_total")
     assert key in config_error("stats", cfg, tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_workers_below_one_is_config_error(workers, tmp_path, capsys):
+    cfg = turb_cfg(tmp_path, extra=["sweep.lengths = 1 km, 2 km"])
+    err = config_error("sweep", cfg, tmp_path, capsys, ["--workers", workers])
+    assert err.startswith("config error:") and "--workers" in err
 
 
 def test_missing_scenario_exit_code(tmp_path):

@@ -2,7 +2,7 @@
 manifest agree."""
 
 import json
-import tomllib
+import re
 from pathlib import Path
 
 import turbchan
@@ -11,10 +11,18 @@ from turbchan.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def project_version():
+    """The [project] table's version; read without tomllib, which Python
+    3.10 lacks."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text,
+                      flags=re.MULTILINE | re.DOTALL).group(1)
+    return re.search(r'^version\s*=\s*"([^"]+)"\s*$', table,
+                     flags=re.MULTILINE).group(1)
+
+
 def test_version_has_one_source(tmp_path):
-    pyproject = tomllib.loads(
-        (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
-    assert pyproject["project"]["version"] == turbchan.__version__
+    assert project_version() == turbchan.__version__
     # Run from source, with no installed metadata to read.
     assert main(["stats", str(ROOT / "scenarios" / "vacuum.cfg"),
                  "--no-cache", "--out-dir", str(tmp_path)]) == 0
