@@ -19,7 +19,6 @@ import dataclasses
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +122,7 @@ def _law(looked_up, diag):
     return law
 
 
-def _stats_rows(scenario, looked_up, seeds, diag, workers):
+def _stats_rows(scenario, looked_up, seeds, diag):
     (channel, st), = looked_up
     diag["stats"] = st.diagnostics
     header = ["scenario_id", "seed", "cn2", "length_m", "mean_eta",
@@ -135,7 +134,7 @@ def _stats_rows(scenario, looked_up, seeds, diag, workers):
     return header, [row]
 
 
-def _pdt_rows(scenario, looked_up, seeds, diag, workers):
+def _pdt_rows(scenario, looked_up, seeds, diag):
     law = _law(looked_up, diag)
     grid = _eta_grid(scenario.eta_step)
     dens = composite_pdt_density(grid, law)
@@ -146,7 +145,7 @@ def _pdt_rows(scenario, looked_up, seeds, diag, workers):
     return header, rows
 
 
-def _exceedance_rows(scenario, looked_up, seeds, diag, workers):
+def _exceedance_rows(scenario, looked_up, seeds, diag):
     law = _law(looked_up, diag)
     grid = _eta_grid(scenario.eta_step)
     header = ["scenario_id", "seed", "fraction", "eta", "density",
@@ -162,7 +161,7 @@ def _exceedance_rows(scenario, looked_up, seeds, diag, workers):
     return header, rows
 
 
-def _squeezing_rows(scenario, looked_up, seeds, diag, workers):
+def _squeezing_rows(scenario, looked_up, seeds, diag):
     law = _law(looked_up, diag)
     header = ["scenario_id", "seed", "fraction", "eta_min", "acceptance",
               "mean_eta_ps", "squeezing_db"]
@@ -183,11 +182,8 @@ QKD_HEADER = ["scenario_id", "seed", "length_m", "family", "mean_loss_db",
 
 
 def _qkd_point(scenario, channel, st, seeds):
-    """One averaged-key-rate evaluation from the channel's stats.
-
-    Returns (row, point diagnostics); it mutates nothing shared, so sweep
-    points can run on concurrent threads.
-    """
+    """One averaged-key-rate evaluation from the channel's stats; returns
+    (row, point diagnostics)."""
     ext = channel.extinction_eta
     n, seed = scenario.pdt_sample_count, seeds["qkd_samples"]
     law = composite_pdt_build(st, channel.aperture_radius)
@@ -209,20 +205,10 @@ def _qkd_point(scenario, channel, st, seeds):
     return row, point_diag
 
 
-def _qkd_rows(scenario, looked_up, seeds, diag, workers):
-    """The key-rate table, one row per channel; the workers parallelize
-    only this per-point work."""
-    def point(pair):
-        return _qkd_point(scenario, *pair, seeds)
-
-    # One worker runs in the calling thread: a pool of one thread costs the
-    # warm fig2 benchmark pass a quarter of its wall time and 1.3 MB of
-    # peak RSS (0.075 -> 0.093 s, 9 alternating runs on 2 vCPUs).
-    if workers <= 1:
-        results = list(map(point, looked_up))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(point, looked_up))
+def _qkd_rows(scenario, looked_up, seeds, diag):
+    """The key-rate table, one row per channel, in the order of the
+    lengths."""
+    results = [_qkd_point(scenario, *pair, seeds) for pair in looked_up]
     diag["points"] = [d for _, d in results]
     return QKD_HEADER, [row for row, _ in results]
 
@@ -246,6 +232,7 @@ _TABLES = {
 
 
 def _run(args) -> int:
+    # sweep --workers has no effect: it is only range-checked and recorded.
     workers = getattr(args, "workers", 1)
     if workers < 1:
         raise ConfigError("workers must be >= 1", field="--workers")
@@ -268,7 +255,7 @@ def _run(args) -> int:
     diag = {}
     header, rows = rows_of(
         scenario, [(c, st) for c, (st, _) in zip(channels, looked_up)],
-        seeds, diag, workers)
+        seeds, diag)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -330,10 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for CSV and manifest output")
         if name == "sweep":
             p.add_argument("--workers", type=int, default=1,
-                           help="threads (>= 1) for the per-point "
-                                "downstream work; the stats of all lengths "
-                                "come from one shared pass (results do not "
-                                "depend on this)")
+                           help="no effect (>= 1): kept only because the "
+                                "perfbench harness passes it; ROADMAP item 4 "
+                                "deletes it after item 2")
     return parser
 
 

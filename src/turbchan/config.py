@@ -24,6 +24,9 @@ _UNIT_EXPONENT = {"nm": -9, "um": -6, "mm": -3, "cm": -2, "m": 0, "km": 3}
 
 _NUMBER_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([a-zA-Z]*)\s*$")
+# The id names the output files and fills a CSV column: no path separator,
+# no comma, and not "." or "..".
+_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 @dataclass(frozen=True)
 class Scenario:
@@ -75,7 +78,9 @@ def _bound(ok, message):
 
 
 _SCHEMA = {
-    "scenario.id": _Key("scenario_id", "str", lambda path: Path(path).stem),
+    "scenario.id": _Key("scenario_id", "str", lambda path: Path(path).stem,
+                        _bound(_ID_RE.fullmatch,
+                               "id must match " + _ID_RE.pattern)),
     "scenario.seed": _Key("seed", "int", 0,
                           _bound(lambda s: s >= 0, "seed must be >= 0")),
     "channel.cn2": _Key("cn2", "float", _REQUIRED),

@@ -183,7 +183,13 @@ def sobol_points(dim, log2_points, seed_seq):
     of CHUNK and j < CHUNK, gray(lo + j) = gray(lo) ^ gray(j), so the block
     at lo is the first block XORed with the direction numbers of the set
     bits of gray(lo); lo >> 1 contributes bit CHUNK_BITS - 1 to those.
+
+    Raises ValueError before the first block when log2_points exceeds
+    SOBOL_BITS: the direction numbers give 2^SOBOL_BITS distinct points.
     """
+    if log2_points > SOBOL_BITS:
+        raise ValueError("at most 2^%d Sobol points, got 2^%d"
+                         % (SOBOL_BITS, log2_points))
     child = np.random.SeedSequence(seed_seq.entropy,
                                    spawn_key=seed_seq.spawn_key + (0,),
                                    pool_size=seed_seq.pool_size)

@@ -53,7 +53,7 @@ from ..errors import QuadratureNotConverged, StatsInvariantViolation
 from ..quadrature import tanh_sinh
 from .gamma2 import (MAX_NEWTON_STEPS, envelope_support, hankel_nodes,
                      hankel_rule, stable_coeff)
-from .gamma4 import REPLICATES, QmcResult, aperture_cov_qmc_many
+from .gamma4 import REPLICATES, SOBOL_BITS, QmcResult, aperture_cov_qmc_many
 
 # Relative floor applied to quoted standard errors: deterministic quadrature
 # results are exact only to their tolerance, and exact closed forms (vacuum)
@@ -70,6 +70,9 @@ TAIL_COEFF = (2.0 ** (5.0 / 3.0) * math.gamma(11.0 / 6.0)
               / math.gamma(1.0 / 6.0))
 # Mass-cut solve: relative step at which it stops.
 RADIUS_RTOL = 1e-12
+# A budget of 2^log2_total points gives each replicate 2^(log2_total -
+# _REPLICATE_BITS), at most the 2^SOBOL_BITS distinct Sobol points.
+_REPLICATE_BITS = REPLICATES.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,9 @@ class StatsBudget:
         if self.log2_total < 8:
             raise ValueError("log2_total must be >= 8, got %d"
                              % self.log2_total)
+        if self.log2_total > SOBOL_BITS + _REPLICATE_BITS:
+            raise ValueError("log2_total must be <= %d, got %d"
+                             % (SOBOL_BITS + _REPLICATE_BITS, self.log2_total))
 
 
 @dataclass(frozen=True)
@@ -304,7 +310,7 @@ def channel_stats_many(channels, budget: StatsBudget | None = None,
     budget = budget or StatsBudget()
     channels = list(channels)
     fields = [_quadrature_stats(c) for c in channels]
-    log2_points = budget.log2_total - (REPLICATES.bit_length() - 1)
+    log2_points = budget.log2_total - _REPLICATE_BITS
     covs = aperture_cov_qmc_many(channels, log2_points, seed)
     return [_beam_stats(f, cov) for f, cov in zip(fields, covs)]
 

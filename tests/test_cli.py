@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -224,18 +225,27 @@ def test_sweep_workers_equivalence(tmp_path):
     assert [r["length_m"] for r in rows] == ["1000", "2000"]
 
 
-def test_sweep_workers_cache_counts(tmp_path):
-    # More workers than cores and a short switch interval: a lost update of
-    # a shared counter would show as a wrong hit or miss count.
+def test_sweep_workers_cache_counts(tmp_path, monkeypatch):
+    # The first run fills the cache on the QMC pool, under a short switch
+    # interval. The all-hit second run does its per-point work in the
+    # calling thread whatever --workers says, so it starts no thread.
     lengths = ["%d km" % L for L in range(1, 7)]
     cfg = turb_cfg(tmp_path,
                    extra=["sweep.lengths = %s" % ", ".join(lengths)])
     cache = str(tmp_path / "cache")
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         counts = []
         for sub in ("o1", "o2"):
+            if sub == "o2":
+                monkeypatch.setattr(threading.Thread, "start", counted_start)
             rc, out = run(["sweep", cfg, "--cache-dir", cache,
                            "--workers", "4"], tmp_path, sub)
             assert rc == 0
@@ -244,6 +254,7 @@ def test_sweep_workers_cache_counts(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert counts == [(0, len(lengths)), (len(lengths), 0)]
+    assert started == []
 
 
 def test_sweep_from_partly_filled_cache(tmp_path):

@@ -241,6 +241,15 @@ def test_decoy_errors_wrapped(tmp_path):
     ("pdt.sample_count = 1", "pdt.sample_count"),
     ("tracking.jitter2 = -1e-9", "tracking.jitter2"),
     ("scenario.seed = -1", "scenario.seed"),
+    # 2^35 points would give each of the 16 replicates more than the 2^30
+    # distinct Sobol points.
+    ("budget.log2_total = 35", "budget.log2_total"),
+    # The id names the output files and fills a CSV column.
+    ("scenario.id = ../x", "scenario.id"),
+    ("scenario.id = a/b", "scenario.id"),
+    ("scenario.id = a,b", "scenario.id"),
+    ("scenario.id = .", "scenario.id"),
+    ("scenario.id = ..", "scenario.id"),
 ])
 def test_scalar_bounds(tmp_path, line, field):
     # A key BASE sets is commented out there, so line 9 is its only value.
@@ -248,6 +257,15 @@ def test_scalar_bounds(tmp_path, line, field):
     err = load_error(tmp_path, base + [line])
     assert err.field == field
     assert err.line == 9
+
+
+def test_budget_override_bounds(tmp_path):
+    path = write(tmp_path, BASE)
+    assert load_scenario(path, {"budget.log2_total": "34"}).budget_log2 == 34
+    with pytest.raises(ConfigError) as excinfo:
+        load_scenario(path, {"budget.log2_total": "35"})
+    assert excinfo.value.field == "budget.log2_total"
+    assert "<= 34" in str(excinfo.value)
 
 
 def test_error_message_carries_location(tmp_path):

@@ -161,6 +161,15 @@ def test_sobol_points_golden_checksum():
     assert np.array_equal(all_points(10, 12, seed_seq), pts)
 
 
+def test_sobol_points_refuse_more_than_the_direction_bits():
+    # The 30-bit direction numbers give 2^30 distinct points; a larger
+    # request fails before its first block.
+    blocks = gamma4_module.sobol_points(2, gamma4_module.SOBOL_BITS + 1,
+                                        np.random.SeedSequence(0))
+    with pytest.raises(ValueError, match="Sobol points"):
+        next(blocks)
+
+
 def test_results_do_not_depend_on_thread_count(monkeypatch):
     # One thread, two, and four (more than the cores here), the last with a
     # short switch interval: every value, error and diagnostic is the same
