@@ -170,6 +170,60 @@ def wst2(cn2, length, frac=0.999, w0=W0, wavelength=WAVELENGTH):
 
 
 # ---------------------------------------------------------------------------
+# flux covariance under the quadratic structure-function law
+# ---------------------------------------------------------------------------
+#
+# With D_q(r, r') = kappa (|r|^2 + r.r' + |r'|^2) in place of the 5/3 law the
+# grouped exponents of the covariance integrand are S = -2 kappa |r3'|^2 and
+# S2 = -kappa (|r2'|^2 + |r3'|^2). With r' ~ N(0, W0^2/2) per axis and the
+# phase cos(k u.r2'/L) cos(k v.r3'/L), each Gaussian average is closed-form.
+# The mean intensity is normalized to unit power, 2/(pi W_vac^2) on axis, so
+# Gamma4 - Gamma2 Gamma2 is (2/(pi W_vac^2))^2 times the integrand mean.
+
+def quadratic_law_mean(u2, v2, kappa_w02, w_vac):
+    """Integrand mean e^{-A|u|^2} e^{-A|v|^2/(1+2x)}/(1+2x)
+    - e^{-A(|u|^2+|v|^2)/(1+x)}/(1+x)^2 at |u|^2 = u2, |v|^2 = v2, with
+    A = 1/W_vac^2 and x = kappa W0^2."""
+    a = 1.0 / w_vac ** 2
+    one, two = 1.0 + kappa_w02, 1.0 + 2.0 * kappa_w02
+    return (math.exp(-a * u2 - a * v2 / two) / two
+            - math.exp(-a * (u2 + v2) / one) / one ** 2)
+
+
+def quadratic_law_gamma4_excess(r1, r2, kappa_w02, w_vac):
+    """Gamma4(r1, r2) - Gamma2(r1) Gamma2(r2) under the quadratic law."""
+    u2 = (r1[0] - r2[0]) ** 2 + (r1[1] - r2[1]) ** 2
+    v2 = (r1[0] + r2[0]) ** 2 + (r1[1] + r2[1]) ** 2
+    return (2.0 / (math.pi * w_vac ** 2)) ** 2 * quadratic_law_mean(
+        u2, v2, kappa_w02, w_vac)
+
+
+def quadratic_law_flux_covariance(radius, kappa_w02, w_vac):
+    """Double aperture integral of Gamma4 - Gamma2 Gamma2 under the quadratic
+    law: (2 R^2 / W_vac^2)^2 times the integrand mean averaged over two
+    uniform points x1, x2 of the disk of radius R (u = x1 - x2,
+    v = x1 + x2).
+
+    With t = rho^2 / R^2 the angle average turns exp(-p|u|^2 - q|v|^2) into
+    exp(-(p+q) R^2 (t1+t2)) I0(2 (p-q) R^2 sqrt(t1 t2)), integrated by
+    adaptive quadrature over the unit square.
+    """
+    r2 = radius * radius
+
+    def term(p, q):
+        def f(t1, t2):
+            x = 2.0 * (p - q) * r2 * math.sqrt(t1 * t2)
+            return float(special.i0e(x)) * math.exp(x - (p + q) * r2 * (t1 + t2))
+        return integrate.dblquad(f, 0.0, 1.0, 0.0, 1.0,
+                                 epsabs=0.0, epsrel=1e-10)[0]
+
+    a = 1.0 / w_vac ** 2
+    one, two = 1.0 + kappa_w02, 1.0 + 2.0 * kappa_w02
+    mean = term(a, a / two) / two - term(a / one, a / one) / one ** 2
+    return (2.0 * r2 / w_vac ** 2) ** 2 * mean
+
+
+# ---------------------------------------------------------------------------
 # Weibull parameters (arbitrary-precision Bessel route)
 # ---------------------------------------------------------------------------
 

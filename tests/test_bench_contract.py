@@ -12,8 +12,11 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import turbchan
 from turbchan import cli
+from turbchan.kernels import gamma4 as gamma4_module
 
 from conftest import make_channel
 
@@ -62,6 +65,26 @@ def test_tracer_hooks_run_cleanly(tmp_path):
     assert "cov_rel_se@1000" in tl["kernels.stats.channel_stats"].counts
     # remove() restores the originals everywhere.
     assert not hasattr(cli.composite_pdt_density, "__wrapped__")
+
+
+@pytest.mark.parametrize("nodes", [8, 32])
+def test_covariance_scan_layer_counts_are_exact(monkeypatch, nodes):
+    # One aperture_cov_qmc call at 2^8 points is 16 replicates of one chunk,
+    # each four traced ds_segment calls of 256 points on the SEGMENT_NODES
+    # rule. That holds only while the scan reads ds_segment, SEGMENT_NODES
+    # and qmc_threads at call time; one thread, since the tracer's counts
+    # are not locked.
+    monkeypatch.setattr(gamma4_module, "qmc_threads", lambda: 1)
+    monkeypatch.setattr(gamma4_module, "SEGMENT_NODES", nodes)
+    tracer = layers.install()
+    try:
+        turbchan.kernels.aperture_cov_qmc(make_channel(4e-14, 1000.0),
+                                          log2_points=8)
+    finally:
+        tracer.remove()
+    seg = tracer.layers["kernels.structure_function.ds_segment"]
+    assert seg.calls == 4 * 16
+    assert seg.counts["node_evals"] == 64 * 256 * nodes
 
 
 def test_correlation_pass_meets_its_checks():

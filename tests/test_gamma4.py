@@ -15,9 +15,12 @@ from scipy.stats import qmc
 
 import turbchan
 from turbchan import gamma2, gamma4
-from turbchan.kernels import aperture_cov_qmc, aperture_cov_qmc_many
+from turbchan.kernels import (KERNEL_VERSION, aperture_cov_qmc,
+                               aperture_cov_qmc_many)
 from turbchan.kernels import gamma4 as gamma4_module
+from turbchan.kernels.structure_function import ds_prefactor
 
+import oracles
 from conftest import make_channel
 
 C1 = make_channel(4e-14, 1000.0)
@@ -28,6 +31,39 @@ FAST = dict(log2_points=12)
 # sobol_points(10, 12, first replicate stream of seed 0).
 GOLDEN_SHA256 = ("4072846d5fdae62eb57a885ea847a0b2"
                  "3f0ee9f8a9db2660a670537f25de2d6b")
+# (value, standard error, s_max) at log2_points=12, seed 0, per kernel
+# version: the flux covariance of the fig2 channel at each sweep length, and
+# gamma4((0.01, 0), (0, 0.005)) at 1 km.
+GOLDEN_QMC = {
+    "6": {
+        "aperture": {
+            1000.0: (0.21140535266952423, 0.08909261650249838,
+                     -0.02741554451106282),
+            2000.0: (0.07251844740574769, 0.0027181850374490943,
+                     -0.05483108902212564),
+            3000.0: (0.019427238042666033, 0.0003125304459700396,
+                     -0.08224663353318845),
+            4000.0: (0.0045987930270871506, 6.686046758194246e-05,
+                     -0.10966217804425128),
+            6000.0: (0.00040578083380955353, 7.62369520517483e-06,
+                     -0.1644932670663769),
+            8000.0: (6.185088891195614e-05, 1.9447845664223528e-06,
+                     -0.21932435608850256),
+            10000.0: (1.3622165993325272e-05, 7.266039303813246e-07,
+                      -0.27415544511062817),
+            12000.0: (3.864008043185628e-06, 3.212475177626611e-07,
+                      -0.3289865341327538),
+            14000.0: (1.3166677138841702e-06, 1.569495420676186e-07,
+                      -0.38381762315487944),
+            15000.0: (8.114646507076178e-07, 1.1281769888913837e-07,
+                      -0.4112331676659423),
+            16000.0: (5.156228790440892e-07, 8.236836592091845e-08,
+                      -0.43864871217700513),
+        },
+        "gamma4": (802137.7449608849, 931.0598796610333,
+                   -0.020893249742752387),
+    },
+}
 
 
 def test_vacuum_factorizes_exactly():
@@ -112,12 +148,79 @@ def test_shared_pass_matches_single_channel_calls():
     assert batch[-1].diagnostics["vacuum_closed_form"]
 
 
+def test_kernel_version_tripwire():
+    # Every cached stats entry is keyed by KERNEL_VERSION, so a change that
+    # moves a QMC result must bump it and add its row to GOLDEN_QMC. Value
+    # and error are held to 1e-9 of the error, which absorbs last-ulp
+    # differences between CPUs and numpy builds; s_max, an exponent, to
+    # 1e-9 of itself.
+    golden = GOLDEN_QMC[KERNEL_VERSION]
+    lengths = list(golden["aperture"])
+    chans = [make_channel(4e-14, L) for L in lengths] + [VAC]
+    results = aperture_cov_qmc_many(chans, log2_points=12, seed=0)
+    pair = gamma4((0.01, 0.0), (0.0, 0.005), C1, log2_points=12, seed=0)
+    checks = [(r, golden["aperture"][L]) for L, r in zip(lengths, results)]
+    for got, (value, se, s_max) in checks + [(pair, golden["gamma4"])]:
+        assert abs(got.value - value) <= 1e-9 * se
+        assert abs(got.std_error - se) <= 1e-9 * se
+        assert abs(got.diagnostics["s_max"] - s_max) <= 1e-9 * abs(s_max)
+    assert (results[-1].value, results[-1].std_error) == (0.0, 0.0)
+
+
 def test_shared_pass_needs_common_geometry():
     with pytest.raises(ValueError):
         aperture_cov_qmc_many([C1, make_channel(4e-14, 1000.0, w0=0.03)])
     with pytest.raises(ValueError):
         aperture_cov_qmc_many([C1, make_channel(4e-14, 2000.0,
                                                 aperture_radius=0.05)])
+
+
+def use_quadratic_law(monkeypatch, chan, kappa_w02):
+    # The grouped exponents of D_q(r, r') = kappa (|r|^2 + r.r' + |r'|^2),
+    # at the unit prefactor the scan scales by ds_prefactor(chan).
+    kappa = kappa_w02 / chan.w0 ** 2 / ds_prefactor(chan)
+
+    def grouped_exponent(ux, uy, r1x, r1y, r2x, r2y, r3x, r3y):
+        r2 = r2x * r2x + r2y * r2y
+        r3 = r3x * r3x + r3y * r3y
+        return -2.0 * kappa * r3, -kappa * (r2 + r3)
+
+    monkeypatch.setattr(gamma4_module, "grouped_exponent", grouped_exponent)
+
+
+# (length, aperture radius, kappa W0^2). At 1 km with a >= 2 cm the standard
+# error exceeds the covariance itself, so no such point is checked.
+@pytest.mark.parametrize("length, radius, kappa_w02", [
+    (4000.0, 0.02, 0.5), (4000.0, 0.06, 2.0), (10000.0, 0.04, 1.0),
+    (10000.0, 0.06, 2.0)])
+def test_flux_covariance_matches_quadratic_law_oracle(monkeypatch, length,
+                                                      radius, kappa_w02):
+    # Under the quadratic law the aperture scan has a closed-form mean; the
+    # check is not vacuous, as the error is under a tenth of the value.
+    chan = make_channel(4e-14, length, aperture_radius=radius)
+    use_quadratic_law(monkeypatch, chan, kappa_w02)
+    got = aperture_cov_qmc(chan, log2_points=12)
+    ref = oracles.quadratic_law_flux_covariance(
+        radius, kappa_w02, oracles.vacuum_width(length))
+    assert got.std_error < ref / 10.0
+    assert abs(got.value - ref) <= 3.0 * got.std_error
+
+
+# The last pair has |u| != |v|, so it tells u.r2' from u.r3' in the phase.
+@pytest.mark.parametrize("r1, r2, kappa_w02", [
+    ((0.0, 0.0), (0.0, 0.0), 1.0), ((0.01, 0.0), (0.0, 0.005), 2.0),
+    ((0.01, 0.0), (0.005, 0.0), 2.0)])
+def test_gamma4_matches_quadratic_law_oracle(monkeypatch, r1, r2, kappa_w02):
+    # The same closed form pointwise: the sampled part of gamma4, its value
+    # less the pair product, on the fixed (u, v) scan.
+    chan = make_channel(4e-14, 4000.0)
+    use_quadratic_law(monkeypatch, chan, kappa_w02)
+    got = gamma4(r1, r2, chan, log2_points=12)
+    ref = oracles.quadratic_law_gamma4_excess(r1, r2, kappa_w02,
+                                              oracles.vacuum_width(4000.0))
+    assert got.std_error < ref / 10.0
+    assert abs(got.value - got.diagnostics["pair_product"] - ref) <= (
+        3.0 * got.std_error)
 
 
 def all_points(dim, log2_points, seed_seq):
@@ -163,11 +266,17 @@ def test_sobol_points_golden_checksum():
 
 def test_sobol_points_refuse_more_than_the_direction_bits():
     # The 30-bit direction numbers give 2^30 distinct points; a larger
-    # request fails before its first block.
-    blocks = gamma4_module.sobol_points(2, gamma4_module.SOBOL_BITS + 1,
-                                        np.random.SeedSequence(0))
+    # request, or a negative count, fails before its first block, also
+    # through both QMC entry points.
+    for log2_points in (gamma4_module.SOBOL_BITS + 1, -1):
+        blocks = gamma4_module.sobol_points(2, log2_points,
+                                            np.random.SeedSequence(0))
+        with pytest.raises(ValueError, match="Sobol points"):
+            next(blocks)
     with pytest.raises(ValueError, match="Sobol points"):
-        next(blocks)
+        gamma4((0.01, 0.0), (0.0, 0.005), C1, log2_points=-1)
+    with pytest.raises(ValueError, match="Sobol points"):
+        aperture_cov_qmc(C1, log2_points=-1)
 
 
 def test_results_do_not_depend_on_thread_count(monkeypatch):
