@@ -9,8 +9,8 @@ from .kernels.gamma4 import gamma4
 from .pdt import (CompositeMoments, CompositePdt, TruncLogNormal,
                   WeibullParams, composite_moments, composite_mu,
                   composite_pdt_build, composite_pdt_density,
-                  composite_pdt_sample, trunc_lognormal_sample,
-                  weibull_params)
+                  composite_pdt_sample, composite_rule,
+                  trunc_lognormal_sample, weibull_params)
 from .tracking import (postselected_moments, tracked_exceedance, tracked_pdt,
                        transmitted_squeezing_db)
 from .qkd import (DecoyParams, KeyRateResult, averaged_key_rate,
@@ -29,7 +29,7 @@ __all__ = [
     "TruncLogNormal", "trunc_lognormal_sample",
     "CompositePdt", "CompositeMoments", "composite_pdt_build",
     "composite_pdt_density", "composite_pdt_sample", "composite_mu",
-    "composite_moments",
+    "composite_moments", "composite_rule",
     "tracked_pdt", "tracked_exceedance", "postselected_moments",
     "transmitted_squeezing_db",
     "DecoyParams", "KeyRateResult", "binary_entropy", "gain", "qber",

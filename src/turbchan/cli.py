@@ -7,7 +7,7 @@ other channel of the scenario (the scenario channel and each sweep length)
 in the same covariance pass, so the tables after the first only read; a
 failure of one of those other channels never fails the table. CSV bodies
 are deterministic for a given scenario and seed (comma-separated, LF
-endings, 9 significant digits); the manifest records inputs, derived seeds,
+endings, 9 significant digits); the manifest records inputs, the seed,
 versions, cache activity, stage diagnostics and timings; its timestamp and
 timings are the only parts that vary from run to run.
 """
@@ -33,8 +33,7 @@ from .errors import (ApproximationBreakdown, ConfigError,
 from .kernels import KERNEL_VERSION
 from .kernels.gamma4 import qmc_threads
 from .kernels.stats import StatsBudget
-from .pdt import (composite_pdt_build, composite_pdt_density,
-                  composite_pdt_sample)
+from .pdt import composite_pdt_build, composite_pdt_density, composite_rule
 from .qkd import averaged_key_rate, mean_loss_db, relative_improvement
 from .tracking import (attenuated_squeezing_db, postselected_moments,
                        tracked_exceedance, tracked_pdt)
@@ -50,15 +49,6 @@ EXIT_CODES = (
 
 MANIFEST_FORMAT = "turbchan.run-manifest"
 MANIFEST_VERSION = 1
-
-
-def _derived_seeds(seed: int) -> dict:
-    """Per-stage seeds, additive offsets from the scenario seed.
-
-    Sweep points reuse the same offsets; common random numbers across
-    points smooth the sweep curve without linking the estimates.
-    """
-    return {"stats": seed, "qkd_samples": seed + 2}
 
 
 def _fmt(value) -> str:
@@ -122,7 +112,7 @@ def _law(looked_up, diag):
     return law
 
 
-def _stats_rows(scenario, looked_up, seeds, diag):
+def _stats_rows(scenario, looked_up, diag):
     (channel, st), = looked_up
     diag["stats"] = st.diagnostics
     header = ["scenario_id", "seed", "cn2", "length_m", "mean_eta",
@@ -134,7 +124,7 @@ def _stats_rows(scenario, looked_up, seeds, diag):
     return header, [row]
 
 
-def _pdt_rows(scenario, looked_up, seeds, diag):
+def _pdt_rows(scenario, looked_up, diag):
     law = _law(looked_up, diag)
     grid = _eta_grid(scenario.eta_step)
     dens = composite_pdt_density(grid, law)
@@ -145,7 +135,7 @@ def _pdt_rows(scenario, looked_up, seeds, diag):
     return header, rows
 
 
-def _exceedance_rows(scenario, looked_up, seeds, diag):
+def _exceedance_rows(scenario, looked_up, diag):
     law = _law(looked_up, diag)
     grid = _eta_grid(scenario.eta_step)
     header = ["scenario_id", "seed", "fraction", "eta", "density",
@@ -161,7 +151,7 @@ def _exceedance_rows(scenario, looked_up, seeds, diag):
     return header, rows
 
 
-def _squeezing_rows(scenario, looked_up, seeds, diag):
+def _squeezing_rows(scenario, looked_up, diag):
     law = _law(looked_up, diag)
     header = ["scenario_id", "seed", "fraction", "eta_min", "acceptance",
               "mean_eta_ps", "squeezing_db"]
@@ -177,38 +167,40 @@ def _squeezing_rows(scenario, looked_up, seeds, diag):
 
 
 QKD_HEADER = ["scenario_id", "seed", "length_m", "family", "mean_loss_db",
-              "rate", "rate_se", "rate_raw_mean", "rate_tracked",
-              "improvement"]
+              "rate", "rate_raw_mean", "rate_tracked", "improvement"]
 
 
-def _qkd_point(scenario, channel, st, seeds):
+def _key_rate(law, ext, decoy):
+    """The key rate over the law's rule, its points scaled by ext."""
+    eta, w = composite_rule(law)
+    return averaged_key_rate(eta * ext, w, decoy)
+
+
+def _qkd_point(scenario, channel, st):
     """One averaged-key-rate evaluation from the channel's stats; returns
     (row, point diagnostics)."""
     ext = channel.extinction_eta
-    n, seed = scenario.pdt_sample_count, seeds["qkd_samples"]
     law = composite_pdt_build(st, channel.aperture_radius)
     family = law.family
-    res = averaged_key_rate(composite_pdt_sample(law, n, seed) * ext,
-                            scenario.decoy)
+    res = _key_rate(law, ext, scenario.decoy)
     tracked = tracked_pdt(law, 1.0, scenario.tracking_jitter2)
     # A law without wandering has nothing to track: same law, same rate.
-    res_t = res if tracked is law else averaged_key_rate(
-        composite_pdt_sample(tracked, n, seed) * ext, scenario.decoy)
+    res_t = res if tracked is law else _key_rate(tracked, ext, scenario.decoy)
     rate_t = res_t.rate
     imp = relative_improvement(rate_t, res.rate) if rate_t > 0.0 else 0.0
     loss = mean_loss_db(st.mean_eta * ext)
     row = [scenario.scenario_id, scenario.seed, channel.length, family, loss,
-           res.rate, res.std_error, res.diagnostics["raw_mean"], rate_t, imp]
+           res.rate, res.diagnostics["raw_mean"], rate_t, imp]
     point_diag = {"length_m": channel.length, "family": family,
                   "mean_loss_db": loss, "stats": st.diagnostics,
                   "rate_diag": res.diagnostics, **_window(law, st)}
     return row, point_diag
 
 
-def _qkd_rows(scenario, looked_up, seeds, diag):
+def _qkd_rows(scenario, looked_up, diag):
     """The key-rate table, one row per channel, in the order of the
     lengths."""
-    results = [_qkd_point(scenario, *pair, seeds) for pair in looked_up]
+    results = [_qkd_point(scenario, *pair) for pair in looked_up]
     diag["points"] = [d for _, d in results]
     return QKD_HEADER, [row for row, _ in results]
 
@@ -240,22 +232,20 @@ def _run(args) -> int:
     scenario = load_scenario(args.scenario, {
         key: str(value) for key, value in overrides.items()
         if value is not None})
-    seeds = _derived_seeds(scenario.seed)
     _, channels_of, rows_of = _TABLES[args.command]
     channels = channels_of(scenario)
     t0 = time.perf_counter()
     # One batched lookup: the missing channels, and the scenario's other
     # channels, which share w0 and the aperture, share one covariance pass.
     looked_up = cached_channel_stats_many(
-        channels, StatsBudget(scenario.budget_log2), seed=seeds["stats"],
+        channels, StatsBudget(scenario.budget_log2), seed=scenario.seed,
         cache_dir=args.cache_dir, enabled=not args.no_cache,
         companions=[scenario.channel] + _sweep_points(scenario))
     timings = {"stats_s": time.perf_counter() - t0}
     hits = [hit for _, hit in looked_up]
     diag = {}
     header, rows = rows_of(
-        scenario, [(c, st) for c, (st, _) in zip(channels, looked_up)],
-        seeds, diag)
+        scenario, [(c, st) for c, (st, _) in zip(channels, looked_up)], diag)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,7 +263,7 @@ def _run(args) -> int:
         "scenario": dataclasses.asdict(scenario),
         "cli_overrides": {"seed": args.seed, "budget": args.budget,
                           "workers": workers},
-        "seeds": seeds,
+        "seeds": {"stats": scenario.seed},
         "versions": {"turbchan": __version__,
                      "kernel": KERNEL_VERSION,
                      "numpy": np.__version__,

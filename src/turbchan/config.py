@@ -6,6 +6,7 @@ command-line overrides included, through its key's row.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -33,17 +34,14 @@ class Scenario:
     """One validated scenario file, ready to run.
 
     tracking_fractions are sigma_tr / sigma_bw ratios; sweep_lengths are
-    propagation distances in metres for the `sweep` output;
-    pdt_sample_count is the number of transmittance draws behind each key
-    rate. Optional stages keep their library defaults when the config
-    omits them.
+    propagation distances in metres for the `sweep` output. Optional stages
+    keep their library defaults when the config omits them.
     """
 
     scenario_id: str
     seed: int
     channel: ChannelParams
     budget_log2: int
-    pdt_sample_count: int
     eta_step: float
     tracking_fractions: tuple
     tracking_jitter2: float
@@ -91,8 +89,6 @@ _SCHEMA = {
     "channel.extinction_db_per_km": _Key("extinction_db_per_km", "float"),
     "budget.log2_total": _Key("budget_log2", "int", StatsBudget.log2_total,
                               StatsBudget),
-    "pdt.sample_count": _Key("pdt_sample_count", "int", 10_000, _bound(
-        lambda n: n >= 2, "sample_count must be >= 2")),
     "pdt.eta_step": _Key("eta_step", "float", 0.002, _bound(
         lambda s: 0.0 < s <= 0.5 and abs(1.0 / s - round(1.0 / s)) <= 1e-9,
         "eta_step must be 1/n for an integer n >= 2")),
@@ -136,14 +132,18 @@ def _parse(kind, text):
     if m is None:
         raise ValueError("expected a number, got %r" % text)
     num_str, unit = m.group(1), m.group(2)
-    if not unit:
-        return float(num_str)
-    if kind == "length" and unit in _UNIT_EXPONENT:
-        try:
-            return float(Decimal(num_str).scaleb(_UNIT_EXPONENT[unit]))
-        except ArithmeticError:
-            raise ValueError("expected a number, got %r" % text) from None
-    raise ValueError("unexpected unit %r" % unit)
+    if unit and (kind != "length" or unit not in _UNIT_EXPONENT):
+        raise ValueError("unexpected unit %r" % unit)
+    try:
+        value = (float(Decimal(num_str).scaleb(_UNIT_EXPONENT[unit]))
+                 if unit else float(num_str))
+    except ArithmeticError:
+        raise ValueError("expected a number, got %r" % text) from None
+    # A literal past the float range reads as inf, which passes every
+    # range check.
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number, got %r" % text)
+    return value
 
 
 def _read_pairs(path):

@@ -36,7 +36,7 @@ import numpy as np
 from scipy import special
 
 from ..channel import ChannelParams
-from ..errors import QuadratureNotConverged
+from ..errors import DomainError, QuadratureNotConverged
 from ..quadrature import gauss_legendre
 from .structure_function import ds_colinear, ds_prefactor
 
@@ -119,6 +119,13 @@ def hankel_rule(params: ChannelParams, n: int):
     return weighted(n // m), weighted(2 * n // m)
 
 
+def check_finite(r):
+    """Raise DomainError unless both coordinates of r are finite."""
+    if not all(map(math.isfinite, (float(r[0]), float(r[1])))):
+        raise DomainError("receiver coordinates must be finite, got %r"
+                          % (tuple(r),))
+
+
 def gamma2(r, params: ChannelParams) -> float:
     """Mean intensity at receiver offset r, in m^-2.
 
@@ -137,11 +144,14 @@ def gamma2(r, params: ChannelParams) -> float:
 
     Raises
     ------
+    DomainError
+        If a coordinate is not finite.
     QuadratureNotConverged
         If the phase (k/L) |r| R_sup needs more than MAX_RADIAL_NODES
         nodes. At 1 km with a 2 cm beam, 800 nm and Cn2 4e-14 this is
         |r| > 59 m.
     """
+    check_finite(r)
     beta = params.k / params.length
     radius = math.hypot(float(r[0]), float(r[1]))
     (rho, wg), _ = hankel_rule(params, hankel_nodes(params, radius))

@@ -71,7 +71,7 @@ from scipy.special import ndtri
 
 from ..channel import ChannelParams
 from ..quadrature import gauss_legendre
-from .gamma2 import gamma2
+from .gamma2 import check_finite, gamma2
 from .structure_function import ds_colinear, ds_prefactor, ds_segment
 
 # Points per generated Sobol block and per evaluation block. Fixed, so that
@@ -338,8 +338,11 @@ def gamma4(r1, r2, params: ChannelParams,
     factors come from :func:`gamma2`, whose error against the adaptive
     reference stays below 1e-6 of its pointwise tolerance; gamma4 raises
     QuadratureNotConverged only where gamma2 does, past the node cap of its
-    Hankel rule (|r| > 59 m at 1 km for the fig2 beam).
+    Hankel rule (|r| > 59 m at 1 km for the fig2 beam), and DomainError for
+    a coordinate that is not finite.
     """
+    check_finite(r1)
+    check_finite(r2)
     ux, uy = float(r1[0] - r2[0]), float(r1[1] - r2[1])
     vx, vy = float(r1[0] + r2[0]), float(r1[1] + r2[1])
     pref4 = params.k ** 4 * params.w0 ** 4 / (4.0 * math.pi ** 2 * params.length ** 4)

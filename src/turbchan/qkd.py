@@ -4,9 +4,11 @@ Signal and weak-decoy pulses plus a vacuum decoy give a lower bound on the
 one-photon gain; combined with the measured gain and error rate of the
 signal this bounds the secure key fraction per pulse.  Averaging the bound
 over the transmittance distribution yields the key rate of the turbulent
-link.  All detector arithmetic is elementary and vectorized in the
-transmittance, which includes every deterministic loss: the CLI multiplies
-the sampled transmittances by ``ChannelParams.extinction_eta``.
+link; averaged_key_rate takes the distribution as weighted transmittances,
+a quadrature rule of the law or equally weighted draws.  All detector
+arithmetic is elementary and vectorized in the transmittance, which
+includes every deterministic loss: the CLI multiplies the law's points by
+``ChannelParams.extinction_eta``.
 """
 
 from __future__ import annotations
@@ -147,56 +149,44 @@ def key_rate_integrand(eta, p, clamp=True):
 
 @dataclass(frozen=True)
 class KeyRateResult:
-    """Averaged key rate with its sampling error and clamp diagnostics."""
+    """Averaged key rate with its clamp diagnostics."""
 
     rate: float
-    std_error: float
     diagnostics: dict
 
 
-def averaged_key_rate(samples, p):
-    """Key rate averaged over transmittance samples.
+def averaged_key_rate(eta, weights, p):
+    """Key rate averaged over transmittances eta with weights that sum to 1:
+    the points of pdt.composite_rule, or draws weighted 1/n each.
 
-    The secure fraction is the average of the raw per-transmittance bound
-    (negative values allowed inside the average, since loss events where
-    error correction outruns the one-photon margin genuinely eat into the
-    key) and the reported rate is that average clamped at zero: the channel
-    either yields key or it does not.
-
-    Parameters
-    ----------
-    samples : array_like
-        Transmittance draws, for example from composite_pdt_sample.
-    p : DecoyParams
-
-    Returns
-    -------
-    KeyRateResult
-        rate (>= 0), standard error of the average, and diagnostics with
-        the raw mean and the fractions of draws where the one-photon bound
-        or the raw integrand went negative.
+    The secure fraction is the weighted average of the raw
+    per-transmittance bound (negative values allowed inside the average,
+    since loss events where error correction outruns the one-photon margin
+    genuinely eat into the key) and the reported rate is that average
+    clamped at zero: the channel either yields key or it does not.  The
+    diagnostics hold the raw mean and the weight of the points where the
+    one-photon bound or the raw integrand went negative.  Raises
+    DomainError unless eta is a non-empty 1-D array and the weights an
+    array of its shape, non-negative and summing to 1 within 1e-12.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 1:
-        raise DomainError("transmittance samples must be a non-empty 1-D "
-                          "array")
+    eta, weights = np.asarray(eta, float), np.asarray(weights, float)
+    if (eta.ndim != 1 or eta.size < 1 or weights.shape != eta.shape
+            or not np.all(weights >= 0.0)
+            or abs(weights.sum() - 1.0) > 1e-12):
+        raise DomainError("need a non-empty 1-D array of transmittances and "
+                          "as many non-negative weights summing to 1")
     # The raw bound and raw integrand are computed once; the averaged
     # values and the clamp diagnostics both derive from them.
-    qs, q1_raw = _one_photon_terms(samples, p)
+    qs, q1_raw = _one_photon_terms(eta, p)
     raw = _key_fraction(_clamp_q1(q1_raw, qs), qs, p)
-    n = samples.size
-    # Equal fractions have no spread, but np.std of them need not round to
-    # 0 (their computed mean can differ from the common value).
-    se = (float(np.std(raw, ddof=1) / math.sqrt(n))
-          if n > 1 and np.ptp(raw) > 0.0 else 0.0)
-    mean_raw = float(np.mean(raw))
+    mean_raw = float(weights @ raw)
     diag = {
-        "samples": n,
+        "points": eta.size,
         "raw_mean": mean_raw,
-        "q1_clamped_fraction": float(np.mean(q1_raw < 0.0)),
-        "rate_clamped_fraction": float(np.mean(raw < 0.0)),
+        "q1_clamped_fraction": float(weights[q1_raw < 0.0].sum()),
+        "rate_clamped_fraction": float(weights[raw < 0.0].sum()),
     }
-    return KeyRateResult(max(0.0, mean_raw), se, diag)
+    return KeyRateResult(max(0.0, mean_raw), diag)
 
 
 def relative_improvement(rate_tracked, rate_untracked):

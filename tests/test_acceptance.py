@@ -234,7 +234,6 @@ def test_criterion_9_determinism(tmp_path):
         "channel.w0 = 2 cm",
         "channel.aperture = 4 cm",
         "budget.log2_total = 10",
-        "pdt.sample_count = 500",
         "sweep.lengths = 1 km, 2 km",
     ]
     scen = tmp_path / "det.cfg"

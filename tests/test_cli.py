@@ -40,7 +40,6 @@ def turb_cfg(tmp_path, extra=(), name="turb.cfg", length="1 km"):
         "channel.cn2 = 4e-14",
         "channel.length = %s" % length,
         "budget.log2_total = 10",
-        "pdt.sample_count = 500",
         "pdt.eta_step = 0.01",
     ] + GEOM + list(extra))
     return write_cfg(tmp_path, lines, name=name)
@@ -198,7 +197,7 @@ def test_seed_override(tmp_path):
     man = json.loads((out2 / "t1_stats_manifest.json").read_text())
     assert man["cli_overrides"]["seed"] == 4
     assert man["scenario"]["seed"] == 4
-    assert man["seeds"] == {"stats": 4, "qkd_samples": 6}
+    assert man["seeds"] == {"stats": 4}
 
 
 def test_budget_override(tmp_path):

@@ -42,7 +42,6 @@ def test_minimal_scenario_and_defaults(tmp_path):
     assert s.channel.w0 == 0.02
     assert s.channel.aperture_radius == 0.04
     assert s.budget_log2 == 20
-    assert s.pdt_sample_count == 10_000
     assert s.eta_step == 0.002
     assert s.tracking_fractions == (0.0,)
     assert s.tracking_jitter2 == 0.0
@@ -85,23 +84,21 @@ def test_full_scenario_round_trip(tmp_path):
     lines = BASE + [
         "channel.extinction_db_per_km = 1.0",   # line 9
         "budget.log2_total = 16",               # line 10
-        "pdt.sample_count = 5000",              # line 11
-        "pdt.eta_step = 0.01",                  # line 12
-        "tracking.fractions = 0, 0.25, 0.5, 1",  # line 13
-        "tracking.jitter2 = 1e-6",              # line 14
-        "postselection.eta_min = 0.3, 0.5",     # line 15
-        "squeezing.input_db = -2.4",            # line 16
-        "decoy.mu_signal = 0.2",                # line 17
-        "decoy.mu_decoy = 0.35",                # line 18
-        "decoy.y0 = 5e-6",                      # line 19
-        "decoy.e_detector = 0.02",              # line 20
-        "decoy.f_ec = 1.1",                     # line 21
-        "sweep.lengths = 1 km, 2 km",           # line 22
+        "pdt.eta_step = 0.01",                  # line 11
+        "tracking.fractions = 0, 0.25, 0.5, 1",  # line 12
+        "tracking.jitter2 = 1e-6",              # line 13
+        "postselection.eta_min = 0.3, 0.5",     # line 14
+        "squeezing.input_db = -2.4",            # line 15
+        "decoy.mu_signal = 0.2",                # line 16
+        "decoy.mu_decoy = 0.35",                # line 17
+        "decoy.y0 = 5e-6",                      # line 18
+        "decoy.e_detector = 0.02",              # line 19
+        "decoy.f_ec = 1.1",                     # line 20
+        "sweep.lengths = 1 km, 2 km",           # line 21
     ]
     s = load_scenario(write(tmp_path, lines))
     assert s.channel.extinction_db_per_km == 1.0
     assert s.budget_log2 == 16
-    assert s.pdt_sample_count == 5000
     assert s.eta_step == 0.01
     assert s.tracking_fractions == (0.0, 0.25, 0.5, 1.0)
     assert s.tracking_jitter2 == 1e-6
@@ -153,14 +150,15 @@ def test_missing_required_key(tmp_path):
 
 
 def test_unknown_output(tmp_path):
-    # Files no longer list their outputs: a file that still does fails on
-    # the key, like any other unknown key.
-    lines = list(BASE)
-    lines[2] = "scenario.outputs = stats, pdt"
-    err = load_error(tmp_path, lines)
-    assert err.field == "scenario.outputs"
-    assert err.line == 3
-    assert "unknown key" in str(err)
+    # Files no longer list their outputs or a key-rate draw count: a file
+    # that still does fails on the key, like any other unknown key.
+    for line in ("scenario.outputs = stats, pdt", "pdt.sample_count = 10000"):
+        lines = list(BASE)
+        lines[2] = line
+        err = load_error(tmp_path, lines)
+        assert err.field == line.partition(" ")[0]
+        assert err.line == 3
+        assert "unknown key" in str(err)
 
 
 def test_bad_number(tmp_path):
@@ -238,8 +236,11 @@ def test_decoy_errors_wrapped(tmp_path):
     ("pdt.eta_step = 0", "pdt.eta_step"),
     ("pdt.eta_step = 0.4", "pdt.eta_step"),
     ("pdt.eta_step = 0.3", "pdt.eta_step"),
-    ("pdt.sample_count = 1", "pdt.sample_count"),
     ("tracking.jitter2 = -1e-9", "tracking.jitter2"),
+    # A literal past the float range would read as inf.
+    ("tracking.jitter2 = 1e999", "tracking.jitter2"),
+    ("channel.cn2 = 1e999", "channel.cn2"),
+    ("channel.length = 1e999 m", "channel.length"),
     ("scenario.seed = -1", "scenario.seed"),
     # 2^35 points would give each of the 16 replicates more than the 2^30
     # distinct Sobol points.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from turbchan import gamma2
-from turbchan.errors import QuadratureNotConverged
+from turbchan.errors import DomainError, QuadratureNotConverged
 
 import oracles
 from conftest import make_channel
@@ -97,6 +97,14 @@ def test_unresolved_phase_raises():
     # about 59 m; 100 m raises before anything is evaluated.
     with pytest.raises(QuadratureNotConverged):
         gamma2((100.0, 0.0), C1)
+
+
+@pytest.mark.parametrize("r", [(math.nan, 0.0), (0.0, math.inf),
+                               (-math.inf, 0.0)])
+@pytest.mark.parametrize("channel", [C1, VAC], ids=["turbulent", "vacuum"])
+def test_non_finite_coordinate_raises(r, channel):
+    with pytest.raises(DomainError):
+        gamma2(r, channel)
 
 
 @pytest.mark.parametrize("cn2,length", [(4e-14, 1000.0), (4e-14, 4000.0),

@@ -15,6 +15,7 @@ from scipy.stats import qmc
 
 import turbchan
 from turbchan import gamma2, gamma4
+from turbchan.errors import DomainError
 from turbchan.kernels import (KERNEL_VERSION, aperture_cov_qmc,
                                aperture_cov_qmc_many)
 from turbchan.kernels import gamma4 as gamma4_module
@@ -94,6 +95,14 @@ def test_seeded_determinism():
     c = gamma4((0.005, 0.0), (0.0, 0.01), C1, seed=8, **FAST)
     assert a.value == b.value and a.std_error == b.std_error
     assert c.value != a.value
+
+
+@pytest.mark.parametrize("r1,r2", [((math.nan, 0.0), (0.0, 0.0)),
+                                   ((0.0, 0.0), (0.0, math.inf))])
+@pytest.mark.parametrize("channel", [C1, VAC], ids=["turbulent", "vacuum"])
+def test_non_finite_coordinate_raises(r1, r2, channel):
+    with pytest.raises(DomainError):
+        gamma4(r1, r2, channel, **FAST)
 
 
 def test_long_channel_is_finite():

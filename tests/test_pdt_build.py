@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import GEOMETRY, make_channel
-from turbchan import (StatsBudget, channel_stats, composite_mu,
-                      composite_pdt_build, composite_pdt_density,
-                      composite_pdt_sample, postselected_moments,
-                      tracked_exceedance, tracked_pdt)
+from turbchan import (CompositePdt, DecoyParams, StatsBudget, WeibullParams,
+                      averaged_key_rate, channel_stats, channel_stats_many,
+                      composite_mu, composite_pdt_build,
+                      composite_pdt_density, composite_pdt_sample,
+                      composite_rule, key_rate_integrand,
+                      postselected_moments, tracked_exceedance, tracked_pdt)
+from turbchan import pdt
 
 import oracles
 
@@ -26,6 +29,16 @@ def stats8():
 @pytest.fixture(scope="module")
 def vacuum():
     return channel_stats(make_channel(0.0, 1000.0))
+
+
+@pytest.fixture(scope="module")
+def fig2_laws():
+    # The fig2 channel, extinction included, at the default budget:
+    # {length: (law, extinction factor)}; 6 km is outside the window.
+    channels = [make_channel(4e-14, L, extinction_db_per_km=1.0)
+                for L in (1000.0, 2000.0, 3000.0, 4000.0, 6000.0)]
+    return {c.length: (composite_pdt_build(st, A), c.extinction_eta)
+            for c, st in zip(channels, channel_stats_many(channels))}
 
 
 def test_inside_window_is_the_composite(stats1, comp1):
@@ -71,3 +84,75 @@ def test_vacuum_is_a_point_mass(vacuum):
     assert np.all(composite_pdt_density(np.linspace(0.0, 1.0, 11), law)
                   == 0.0)
     assert postselected_moments(law, 0.5) == (eta0, eta0 * eta0, 1.0)
+
+
+@pytest.mark.parametrize("length", [1000.0, 2000.0, 4000.0, 6000.0])
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+def test_rule_reproduces_postselected_moments(fig2_laws, length, fraction):
+    law = tracked_pdt(fig2_laws[length][0], fraction)
+    assert law.family == ("lognormal" if length == 6000.0 else "composite")
+    eta, w = composite_rule(law)
+    assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+    m1, m2, _ = postselected_moments(law, 0.0)
+    assert abs(w @ eta - m1) <= 1e-12 * m1
+    assert abs(w @ eta ** 2 - m2) <= 1e-12 * m2
+
+
+def test_rule_of_point_mass_and_zero_width(vacuum, zero_width_comp):
+    law = composite_pdt_build(vacuum, A)
+    eta, w = composite_rule(law)
+    assert eta.tolist() == [law.atom] and w.tolist() == [1.0]
+    assert (averaged_key_rate(eta, w, DecoyParams()).rate
+            == key_rate_integrand(law.atom, DecoyParams()))
+    c = zero_width_comp
+    eta, w = composite_rule(c)
+    assert np.array_equal(eta, np.exp(-c.node_mu))
+    assert np.array_equal(w, c.weights)
+
+
+@pytest.mark.parametrize("eta0,sigma,s,lam", [
+    # Steep attenuation: node locations reach 1e14 and beyond.
+    (1e-4, 0.7, 1.5, 16.1),
+    (0.5, 2.0, 0.85, 22.8),
+    # Most of the zero-displacement log-normal lies above eta = 1, past
+    # where the sampler stalls.
+    (1.2, 0.05, 0.3, 2.0),
+])
+def test_rule_of_synthetic_law(eta0, sigma, s, lam):
+    law = CompositePdt(eta0, eta0 * eta0 * np.exp(sigma * sigma),
+                       WeibullParams(0.9, 1.0, lam, 1.0), s * s, sigma)
+    eta, w = composite_rule(law)
+    assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+    m1, m2, _ = postselected_moments(law, 0.0)
+    assert abs(w @ eta - m1) <= 1e-12 * m1
+    assert abs(w @ eta ** 2 - m2) <= 1e-12 * m2
+
+
+def test_rule_point_count_is_converged(fig2_laws, monkeypatch):
+    p = DecoyParams()
+
+    def rates():
+        return [averaged_key_rate(eta * ext, w, p).diagnostics["raw_mean"]
+                for law, ext in fig2_laws.values()
+                for eta, w in (composite_rule(tracked_pdt(law, f))
+                               for f in (0.0, 1.0))]
+
+    coarse = rates()
+    monkeypatch.setattr(pdt, "RULE_POINTS", 2 * pdt.RULE_POINTS)
+    fine = rates()
+    assert all(abs(a - b) < 1e-10 * abs(b) for a, b in zip(coarse, fine))
+
+
+@pytest.mark.parametrize("length", [1000.0, 3000.0])
+@pytest.mark.parametrize("fraction", [0.0, 1.0])
+def test_rule_rate_matches_draws(fig2_laws, length, fraction):
+    law, ext = fig2_laws[length]
+    law = tracked_pdt(law, fraction)
+    p = DecoyParams()
+    draws = composite_pdt_sample(law, 200_000, seed=5) * ext
+    sampled = averaged_key_rate(draws, np.full(draws.size, 1.0 / draws.size),
+                                p).diagnostics["raw_mean"]
+    se = np.std(key_rate_integrand(draws, p, clamp=False)) / draws.size ** 0.5
+    eta, w = composite_rule(law)
+    ruled = averaged_key_rate(eta * ext, w, p).diagnostics["raw_mean"]
+    assert abs(sampled - ruled) <= 4.0 * se

@@ -140,32 +140,36 @@ def test_integrand_clamp_semantics():
                           np.maximum(raw_g, 0.0))
 
 
+def equal(eta):
+    """A transmittance array with equal weights, as for draws."""
+    eta = np.asarray(eta, dtype=float)
+    return eta, np.full(eta.size, 1.0 / eta.size)
+
+
 def test_averaged_rate_point_mass():
-    res = averaged_key_rate(np.full(50, 0.9), P)
+    res = averaged_key_rate(*equal(np.full(50, 0.9)), P)
     assert res.rate == pytest.approx(key_rate_integrand(0.9, P), rel=1e-14)
-    assert res.std_error == 0.0
-    assert res.diagnostics["samples"] == 50
+    assert res.diagnostics["points"] == 50
     assert res.diagnostics["rate_clamped_fraction"] == 0.0
 
 
-def test_averaged_rate_point_mass_has_zero_se_at_any_count():
-    # The computed mean of 10^4 equal fractions at eta = 0.37 is one
-    # rounding off their common value, so np.std of them is not 0.
-    res = averaged_key_rate(np.full(10_000, 0.37), P)
-    assert res.std_error == 0.0
+def test_averaged_rate_point_mass_at_any_count():
+    # 10^4 weights of 1e-4 sum to 1 only to rounding, within the 1e-12
+    # the weights are checked to.
+    res = averaged_key_rate(*equal(np.full(10_000, 0.37)), P)
     assert res.rate == pytest.approx(key_rate_integrand(0.37, P), rel=1e-14)
 
 
 def test_averaged_rate_two_point_linearity():
     a, b = 0.85, 0.95
-    res = averaged_key_rate(np.array([a, b]), P)
+    res = averaged_key_rate(*equal([a, b]), P)
     want = 0.5 * (key_rate_integrand(a, P) + key_rate_integrand(b, P))
     assert res.rate == pytest.approx(want, rel=1e-14)
 
 
 def test_averaged_rate_raw_vs_clamped_variant():
     samples = np.array([1e-5, 0.9])
-    res_raw = averaged_key_rate(samples, P)
+    res_raw = averaged_key_rate(*equal(samples), P)
     f_raw = key_rate_integrand(1e-5, P, clamp=False)
     assert res_raw.diagnostics["raw_mean"] == pytest.approx(
         0.5 * (f_raw + key_rate_integrand(0.9, P, clamp=False)), rel=1e-13)
@@ -174,20 +178,30 @@ def test_averaged_rate_raw_vs_clamped_variant():
 
 
 def test_averaged_rate_all_negative_reports_zero():
-    res = averaged_key_rate(np.full(10, 1e-5), P)
+    res = averaged_key_rate(*equal(np.full(10, 1e-5)), P)
     assert res.rate == 0.0
     assert res.diagnostics["raw_mean"] < 0.0
 
 
-@pytest.mark.parametrize("bad", [np.zeros((2, 2)), np.array([])])
+@pytest.mark.parametrize("bad", [
+    (np.zeros((2, 2)), np.full((2, 2), 0.25)),
+    (np.array([]), np.array([])),
+    (np.zeros(4), np.full((2, 2), 0.25)),
+    (np.array([0.5, 0.9]), np.array([1.0])),
+    (np.array([0.5, 0.9]), np.array([1.5, -0.5])),
+    (np.array([0.5, 0.9]), np.array([0.5, 0.4])),
+    (np.array([0.5, 0.9]), np.array([0.5, 0.5 + 1e-11])),
+    (np.array([0.5, 0.9]), np.array([0.5, np.nan])),
+])
 def test_averaged_rate_rejects_bad_samples(bad):
     with pytest.raises(DomainError):
-        averaged_key_rate(bad, P)
+        averaged_key_rate(*bad, P)
 
 
 def test_averaged_rate_deterministic(comp1):
     def rate(seed):
-        return averaged_key_rate(composite_pdt_sample(comp1, 300, seed), P)
+        return averaged_key_rate(
+            *equal(composite_pdt_sample(comp1, 300, seed)), P)
 
     r1, r2, r3 = rate(5), rate(5), rate(6)
     assert r1.rate == r2.rate
