@@ -223,6 +223,18 @@ _TABLES = {
 }
 
 
+def _simd():
+    """numpy's SIMD dispatch, which picks the float32 cosines of the
+    covariance scan: the baseline it was built for and the features found
+    beyond it ("found" is absent when there are none). None before numpy
+    1.25, which cannot report it as data."""
+    try:
+        ext = np.show_config(mode="dicts")["SIMD Extensions"]
+    except TypeError:
+        return None
+    return {"baseline": ext["baseline"], "found": ext.get("found", [])}
+
+
 def _run(args) -> int:
     # sweep --workers has no effect: it is only range-checked and recorded.
     workers = getattr(args, "workers", 1)
@@ -268,7 +280,8 @@ def _run(args) -> int:
                      "kernel": KERNEL_VERSION,
                      "numpy": np.__version__,
                      "scipy": scipy.__version__,
-                     "python": sys.version.split()[0]},
+                     "python": sys.version.split()[0],
+                     "simd": _simd()},
         "cache": {"enabled": not args.no_cache, "dir": cache_dir,
                   "hits": sum(hits), "misses": len(hits) - sum(hits)},
         "diagnostics": diag,

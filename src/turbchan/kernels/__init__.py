@@ -11,7 +11,7 @@ from .stats import BeamStats, StatsBudget, channel_stats, channel_stats_many
 
 # Bumped whenever a kernel change alters numerical output; part of the
 # stats-cache key.
-KERNEL_VERSION = "6"
+KERNEL_VERSION = "7"
 
 __all__ = [
     "aperture_cov_qmc", "aperture_cov_qmc_many", "QmcResult", "BeamStats",

@@ -60,7 +60,8 @@ MAX_NODES = 8192
 ETA_RESOLVED = 1e-12           # smallest transmittance the rule resolves
 TAIL_WIDTHS = 8.0              # conditional widths past it that still count
 # Gauss-Legendre points per node of composite_rule, on a window this many
-# conditional widths either side; 192 points move no fig2 rate by 1e-10.
+# conditional widths either side of a location in (0, 1]; 192 points move no
+# fig2 rate by 1e-10.
 RULE_POINTS = 96
 RULE_WIDTHS = 12.0
 REJECTION_MIN_F1 = 1e-3
@@ -497,24 +498,37 @@ def composite_pdt_sample(c, n, seed=0):
 def composite_rule(c):
     """The law as arrays (eta, weights), the weights summing to 1: the atom
     of a point mass, the Rayleigh rule at exp(-node_mu) for zero conditional
-    width, else RULE_POINTS Gauss-Legendre points per node in x = -ln(eta)
-    on [max(0, mu_k - RULE_WIDTHS sigma_r0), mu_k + RULE_WIDTHS sigma_r0],
-    weighted by the node's density; a window wholly above eta = 1 has none.
+    width, else RULE_POINTS Gauss-Legendre points per node in x = -ln(eta),
+    weighted by the node's density. A node's window starts at
+    max(0, mu_k - RULE_WIDTHS sigma_r0) and ends where its density has
+    fallen by exp(-RULE_WIDTHS^2 / 2) from its largest value on x >= 0:
+    at mu_k + RULE_WIDTHS sigma_r0 for a location in (0, 1], and closer to
+    x = 0, by the tail's decay rate, for a location above eta = 1.
     """
     if c.atom is not None:
         return np.array([c.atom]), np.ones(1)
     if c.sigma_r0 == 0.0:
         return np.exp(-c.node_mu), c.weights
     # Laid out in z = (x - mu_k) / sigma_r0: in x, a location of 1e14 or
-    # more would lose the window's width to cancellation.
+    # more would lose the window's width to cancellation. Above eta = 1
+    # the density peaks at top = -mu_k / sigma_r0 and falls as
+    # exp(-top d - d^2 / 2) at d = z - top, so the window ends at
+    # sqrt(top^2 + RULE_WIDTHS^2), written without cancellation.
     sig, mu = c.sigma_r0, c.node_mu[:, None]
-    z, g = gauss_legendre(RULE_POINTS)
+    t, g = gauss_legendre(RULE_POINTS)
     lo = np.maximum(-mu / sig, -RULE_WIDTHS)
-    span = np.maximum(RULE_WIDTHS - lo, 0.0)
-    z = lo + span * z
-    w = (np.where(span > 0.0, c.node_coef[:, None], 0.0) * span * g
-         * np.exp(-0.5 * z * z) / _SQRT_2PI)
-    return np.exp(-(mu + sig * z)).ravel(), w.ravel()
+    top = np.maximum(lo, 0.0)
+    span = (top - lo) + RULE_WIDTHS ** 2 / (
+        top + np.sqrt(top * top + RULE_WIDTHS ** 2))
+    d = (lo - top) + span * t
+    # Phi(mu_k / sigma_r0) renormalizes the node to x >= 0; above eta = 1
+    # it is taken times exp(top^2 / 2), as the density is, so that neither
+    # underflows.
+    norm = np.where(top > 0.0, 0.5 * special.erfcx(top / math.sqrt(2.0)),
+                    special.ndtr(mu / sig))
+    w = (c.weights[:, None] / norm * span * g
+         * np.exp(-0.5 * d * (d + 2.0 * top)) / _SQRT_2PI)
+    return np.exp(-(np.maximum(mu, 0.0) + sig * d)).ravel(), w.ravel()
 
 
 @dataclass(frozen=True)

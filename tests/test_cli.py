@@ -358,10 +358,26 @@ def test_manifest_shape(tmp_path):
     assert man["version"] == 1
     assert man["table"] == "stats"
     assert man["outputs"] == ["t1_stats.csv"]
-    for key in ("turbchan", "kernel", "numpy", "scipy", "python"):
+    for key in ("turbchan", "kernel", "numpy", "scipy", "python", "simd"):
         assert key in man["versions"]
+    # The dispatch that picked the scan's float32 cosines.
+    simd = man["versions"]["simd"]
+    assert isinstance(simd["baseline"], list)
+    assert isinstance(simd["found"], list)
     assert man["cache"]["enabled"] is False
     assert "stats" in man["diagnostics"]
+
+
+def test_manifest_simd_without_found_features(tmp_path, monkeypatch):
+    # Under a baseline-only dispatch numpy reports no "found" key.
+    ext = {"baseline": ["X86_V2"], "not found": ["X86_V3", "X86_V4"]}
+    monkeypatch.setattr(np, "show_config",
+                        lambda mode: {"SIMD Extensions": ext})
+    rc, out = run(["stats", turb_cfg(tmp_path), "--no-cache", "--budget",
+                   "10"], tmp_path, "o1")
+    assert rc == 0
+    man = json.loads((out / "t1_stats_manifest.json").read_text())
+    assert man["versions"]["simd"] == {"baseline": ["X86_V2"], "found": []}
 
 
 def test_manifest_timings(tmp_path):

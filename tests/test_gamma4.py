@@ -64,6 +64,34 @@ GOLDEN_QMC = {
         "gamma4": (802137.7449608849, 931.0598796610333,
                    -0.020893249742752387),
     },
+    "7": {
+        "aperture": {
+            1000.0: (0.2114054107055538, 0.08909262902019649,
+                     -0.027415544573862777),
+            2000.0: (0.07251845097709246, 0.0027181850301142064,
+                     -0.054831089147725554),
+            3000.0: (0.019427237832494695, 0.0003125304284427489,
+                     -0.08224663372158832),
+            4000.0: (0.004598793059342611, 6.686046177140435e-05,
+                     -0.10966217829545111),
+            6000.0: (0.000405780831492695, 7.623694925939996e-06,
+                     -0.16449326744317663),
+            8000.0: (6.185088853201004e-05, 1.944784567961877e-06,
+                     -0.21932435659090221),
+            10000.0: (1.362216577509901e-05, 7.266039068692057e-07,
+                      -0.2741554457386277),
+            12000.0: (3.864007974758868e-06, 3.212475092462868e-07,
+                      -0.32898653488635327),
+            14000.0: (1.3166676891343486e-06, 1.5694953919455916e-07,
+                      -0.3838176240340788),
+            15000.0: (8.114646379154308e-07, 1.1281769536681004e-07,
+                      -0.4112331686079416),
+            16000.0: (5.156228692241903e-07, 8.23683631847313e-08,
+                      -0.43864871318180443),
+        },
+        "gamma4": (802137.759655979, 931.0599230254772,
+                   -0.020893249742752387),
+    },
 }
 
 
@@ -174,6 +202,50 @@ def test_kernel_version_tripwire():
         assert abs(got.std_error - se) <= 1e-9 * se
         assert abs(got.diagnostics["s_max"] - s_max) <= 1e-9 * abs(s_max)
     assert (results[-1].value, results[-1].std_error) == (0.0, 0.0)
+
+
+def float64_disk_map(radius):
+    # The aperture point map with float64 angles (kernel version 6).
+    def split(p):
+        rad1 = radius * np.sqrt(p[:, 0])
+        th1 = 2.0 * math.pi * p[:, 1]
+        rad2 = radius * np.sqrt(p[:, 2])
+        th2 = 2.0 * math.pi * p[:, 3]
+        x1, y1 = rad1 * np.cos(th1), rad1 * np.sin(th1)
+        x2, y2 = rad2 * np.cos(th2), rad2 * np.sin(th2)
+        return x1 - x2, y1 - y2, x1 + x2, y1 + y2, p[:, 4:]
+    return 10, split
+
+
+def float64_channel_sums(s1, s21, au, av, pref, beta):
+    # The per-channel sums with float64 phases and cosines (version 6).
+    s = pref * s1
+    h = np.cos(beta * au) * np.cos(beta * av)
+    z = h * (np.exp(s) - np.exp(pref * s21))
+    return np.sum(z), np.sum(z * z), np.count_nonzero(s > 1e-12)
+
+
+def test_float32_trigonometry_matches_float64_reference(monkeypatch):
+    # The scan takes its phases, cosines and sines in float32. On the same
+    # points, the float64 scan moves no covariance at 1-16 km and no gamma4
+    # value by 0.01 of its standard error (at the default budget the
+    # largest move was 1e-5 of it).
+    chans = [make_channel(4e-14, L) for L in GOLDEN_QMC["7"]["aperture"]]
+    pairs = [((0.0, 0.0), (0.0, 0.0)), ((0.01, 0.0), (0.0, 0.005)),
+             ((0.01, 0.0), (0.005, 0.0))]
+
+    def scan():
+        return aperture_cov_qmc_many(chans, log2_points=12) + [
+            gamma4(r1, r2, C1, log2_points=12) for r1, r2 in pairs]
+
+    fast = scan()
+    monkeypatch.setattr(gamma4_module, "_disk_map", float64_disk_map)
+    monkeypatch.setattr(gamma4_module, "_channel_sums", float64_channel_sums)
+    ref = scan()
+    assert any(got.value != want.value for got, want in zip(fast, ref))
+    for got, want in zip(fast, ref):
+        assert abs(got.value - want.value) <= 0.01 * want.std_error
+        assert abs(got.std_error - want.std_error) <= 0.01 * want.std_error
 
 
 def test_shared_pass_needs_common_geometry():

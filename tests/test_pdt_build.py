@@ -117,6 +117,9 @@ def test_rule_of_point_mass_and_zero_width(vacuum, zero_width_comp):
     # Most of the zero-displacement log-normal lies above eta = 1, past
     # where the sampler stalls.
     (1.2, 0.05, 0.3, 2.0),
+    # Locations up to 36 conditional widths above eta = 1: each such node's
+    # mass sits in a sliver of its width just below eta = 1.
+    (1.2, 0.005, 0.3, 2.0),
 ])
 def test_rule_of_synthetic_law(eta0, sigma, s, lam):
     law = CompositePdt(eta0, eta0 * eta0 * np.exp(sigma * sigma),
