@@ -183,10 +183,8 @@ def _qkd_point(scenario, channel, st):
     law = composite_pdt_build(st, channel.aperture_radius)
     family = law.family
     res = _key_rate(law, ext, scenario.decoy)
-    tracked = tracked_pdt(law, 1.0, scenario.tracking_jitter2)
-    # A law without wandering has nothing to track: same law, same rate.
-    res_t = res if tracked is law else _key_rate(tracked, ext, scenario.decoy)
-    rate_t = res_t.rate
+    rate_t = _key_rate(tracked_pdt(law, 1.0, scenario.tracking_jitter2),
+                       ext, scenario.decoy).rate
     imp = relative_improvement(rate_t, res.rate) if rate_t > 0.0 else 0.0
     loss = mean_loss_db(st.mean_eta * ext)
     row = [scenario.scenario_id, scenario.seed, channel.length, family, loss,

@@ -216,18 +216,20 @@ def _rayleigh_rule(n):
 
 
 def _node_count(s, lam, sigma_r0, mu0):
-    """Rayleigh nodes a mixture needs: the first MIN_NODES * 2**k at which
-    the location mu0 + (s xi)**lam, s = sigma_bw / r_scale, moves by at most
-    one conditional width (1 if 0 or above 1) between nodes, spaced
-    pi sqrt(xi (XI_CUTOFF - xi)) / n, out to the nearer of XI_TAIL and the
-    xi where the location passes -ln(ETA_RESOLVED) by TAIL_WIDTHS widths.
-    Raises QuadratureNotConverged past MAX_NODES.  On 336 shapes (s
-    0.05-1.5, lam 2-22.8, sigma_r0 0.01-2) each count returned is within
-    6e-9 of a 16384-node rule on eta >= ETA_RESOLVED; 90 shapes raise.
+    """Rayleigh nodes a mixture needs: 1 without wandering (s = sigma_bw /
+    r_scale = 0), else the first MIN_NODES * 2**k at which the location
+    mu0 + (s xi)**lam moves by at most one conditional width (1 if 0 or
+    above 1) between nodes, spaced pi sqrt(xi (XI_CUTOFF - xi)) / n, out to
+    the nearer of XI_TAIL and the xi where the location passes
+    -ln(ETA_RESOLVED) by TAIL_WIDTHS widths.  Raises QuadratureNotConverged
+    past MAX_NODES, as 90 of 336 shapes (s 0.05-1.5, lam 2-22.8, sigma_r0
+    0.01-2) do; the rest lie within 6e-9 of 16384 nodes down to ETA_RESOLVED.
     """
+    if s == 0.0:
+        return 1
     width = sigma_r0 if 0.0 < sigma_r0 < 1.0 else 1.0
     reach = -math.log(ETA_RESOLVED) + TAIL_WIDTHS * sigma_r0 - mu0
-    if reach <= 0.0 or s == 0.0:
+    if reach <= 0.0:
         return MIN_NODES
     xi = min(XI_TAIL, reach ** (1.0 / lam) / s)
     need = (math.pi * lam * s ** lam * xi ** (lam - 1.0)
@@ -250,10 +252,10 @@ class CompositePdt:
     Given a centroid displacement radius r0, the transmittance is log-normal
     with constant width sigma_r0 and location composite_mu(self, r0).  The
     mixture over r0 ~ Rayleigh(sigma_bw) is the rule _rayleigh_rule at radii
-    sigma_bw xi_k; its node count follows from the shape (_node_count) on
-    first use, and raises QuadratureNotConverged past MAX_NODES.  eta0_norm
-    and zeta0_sq are normalized so the mixture's first two moments
-    reproduce the channel moments it was built from (composite_moments).
+    sigma_bw xi_k; its node count follows from the shape (_node_count, 1
+    without wandering) on first use, and raises QuadratureNotConverged past
+    MAX_NODES.  eta0_norm and zeta0_sq are normalized so the mixture's
+    first two moments reproduce its input moments (composite_moments).
     """
 
     eta0_norm: float
@@ -496,17 +498,16 @@ def composite_pdt_sample(c, n, seed=0):
 
 
 def composite_rule(c):
-    """The law as arrays (eta, weights), the weights summing to 1: the atom
-    of a point mass, the Rayleigh rule at exp(-node_mu) for zero conditional
-    width, else RULE_POINTS Gauss-Legendre points per node in x = -ln(eta),
-    weighted by the node's density. A node's window starts at
+    """The law as arrays (eta, weights), the weights summing to 1: the
+    Rayleigh rule at exp(-node_mu) for zero conditional width (a point
+    mass's one node, its atom to rounding), else RULE_POINTS Gauss-Legendre
+    points per node in x = -ln(eta), weighted by the node's density (one
+    node without wandering). A node's window starts at
     max(0, mu_k - RULE_WIDTHS sigma_r0) and ends where its density has
     fallen by exp(-RULE_WIDTHS^2 / 2) from its largest value on x >= 0:
     at mu_k + RULE_WIDTHS sigma_r0 for a location in (0, 1], and closer to
     x = 0, by the tail's decay rate, for a location above eta = 1.
     """
-    if c.atom is not None:
-        return np.array([c.atom]), np.ones(1)
     if c.sigma_r0 == 0.0:
         return np.exp(-c.node_mu), c.weights
     # Laid out in z = (x - mu_k) / sigma_r0: in x, a location of 1e14 or
@@ -548,8 +549,8 @@ def composite_moments(c):
     zeta0_sq * exp(-2 x), x = (r0 / r_scale)**shape_lambda, over the
     Rayleigh rule; by construction this reproduces the build inputs up to
     the quadrature error.  Each error reported is the difference against
-    the rule with half the nodes, an upper estimate of the rule's error,
-    plus the NORM_RTOL relative error floor of the normalization integrals.
+    the rule with half the nodes (at least 1), an upper estimate of the
+    rule's error, plus the NORM_RTOL relative floor of the normalization.
     """
     sigma_bw = math.sqrt(c.sigma_bw2)
 
@@ -560,7 +561,7 @@ def composite_moments(c):
                 c.zeta0_sq * float(w @ np.exp(-2.0 * excess)))
 
     m1, m2 = moments(c.node_count)
-    h1, h2 = moments(c.node_count // 2)
+    h1, h2 = moments(max(1, c.node_count // 2))
     return CompositeMoments(m1, m2, abs(m1 - h1) + NORM_RTOL * m1,
                             abs(m2 - h2) + NORM_RTOL * m2)
 

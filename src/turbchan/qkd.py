@@ -49,13 +49,13 @@ class DecoyParams:
             raise DecoyOrderingViolation(
                 "need 0 < mu_s < mu_d < 1, got mu_s=%g mu_d=%g"
                 % (self.mu_s, self.mu_d))
-        if self.y0 < 0.0:
+        if not self.y0 >= 0.0:
             raise DomainError("background yield must be >= 0, got %g"
                               % self.y0)
         if not (0.0 <= self.e_det <= 0.5):
             raise DomainError("misalignment error must lie in [0, 0.5], "
                               "got %g" % self.e_det)
-        if self.f_ec < 1.0:
+        if not self.f_ec >= 1.0:
             raise DomainError("error-correction inefficiency must be >= 1, "
                               "got %g" % self.f_ec)
 

@@ -35,21 +35,21 @@ def tracked_pdt(c, fraction, jitter2=0.0):
     sigma_bw xi_k become sqrt(delta2) xi_k on the Rayleigh rule, whose node
     count follows the narrower wandering, while (eta0_norm, zeta0_sq,
     r_scale, shape_lambda, sigma_r0) stay fixed.  Perfect tracking
-    collapses the mixture onto its zero-displacement component, a point
-    mass if the conditional width is zero.  A law without wandering is
-    returned as it is, jitter included.
+    collapses the mixture onto its one node at radius 0, a truncated
+    log-normal or a point mass.  A law without wandering is returned as it
+    is, jitter included.
 
     Raises
     ------
     InvalidTracking
-        If fraction lies outside [0, 1] or jitter2 is negative.
+        If fraction lies outside [0, 1] or jitter2 outside [0, inf).
     """
     if not 0.0 <= fraction <= 1.0:
         raise InvalidTracking("tracking fraction must lie in [0, 1], got %g"
                               % fraction)
-    if jitter2 < 0.0:
-        raise InvalidTracking("jitter variance must be non-negative, got %g"
-                              % jitter2)
+    if not 0.0 <= jitter2 < math.inf:
+        raise InvalidTracking("jitter variance must be finite and "
+                              "non-negative, got %g" % jitter2)
     if c.sigma_bw2 == 0.0:
         return c
     total = c.sigma_bw2 + jitter2

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import qmc
 
 import turbchan
-from turbchan import gamma2, gamma4
+from turbchan import cli, gamma2, gamma4
 from turbchan.errors import DomainError
 from turbchan.kernels import (KERNEL_VERSION, aperture_cov_qmc,
                                aperture_cov_qmc_many)
@@ -34,7 +34,10 @@ GOLDEN_SHA256 = ("4072846d5fdae62eb57a885ea847a0b2"
                  "3f0ee9f8a9db2660a670537f25de2d6b")
 # (value, standard error, s_max) at log2_points=12, seed 0, per kernel
 # version: the flux covariance of the fig2 channel at each sweep length, and
-# gamma4((0.01, 0), (0, 0.005)) at 1 km.
+# gamma4((0.01, 0), (0, 0.005)) at 1 km. From version 7 on, whose float32
+# cosines numpy dispatches by CPU feature, one row per dispatch class
+# (dispatch_class): X86_V2 moves the values by up to 1.8e-7 of their error,
+# X86_V3 and X86_V4 agree to the last ulp and share a row.
 GOLDEN_QMC = {
     "6": {
         "aperture": {
@@ -65,34 +68,65 @@ GOLDEN_QMC = {
                    -0.020893249742752387),
     },
     "7": {
-        "aperture": {
-            1000.0: (0.2114054107055538, 0.08909262902019649,
-                     -0.027415544573862777),
-            2000.0: (0.07251845097709246, 0.0027181850301142064,
-                     -0.054831089147725554),
-            3000.0: (0.019427237832494695, 0.0003125304284427489,
-                     -0.08224663372158832),
-            4000.0: (0.004598793059342611, 6.686046177140435e-05,
-                     -0.10966217829545111),
-            6000.0: (0.000405780831492695, 7.623694925939996e-06,
-                     -0.16449326744317663),
-            8000.0: (6.185088853201004e-05, 1.944784567961877e-06,
-                     -0.21932435659090221),
-            10000.0: (1.362216577509901e-05, 7.266039068692057e-07,
-                      -0.2741554457386277),
-            12000.0: (3.864007974758868e-06, 3.212475092462868e-07,
-                      -0.32898653488635327),
-            14000.0: (1.3166676891343486e-06, 1.5694953919455916e-07,
-                      -0.3838176240340788),
-            15000.0: (8.114646379154308e-07, 1.1281769536681004e-07,
-                      -0.4112331686079416),
-            16000.0: (5.156228692241903e-07, 8.23683631847313e-08,
-                      -0.43864871318180443),
+        "X86_V2": {
+            "aperture": {
+                1000.0: (0.21140540434031063, 0.08909262640369099,
+                         -0.027415544539295407),
+                2000.0: (0.0725184511783305, 0.0027181849862146796,
+                         -0.054831089078590814),
+                3000.0: (0.01942723785603637, 0.00031253042640564684,
+                         -0.08224663361788621),
+                4000.0: (0.004598793070288606, 6.686046163235746e-05,
+                         -0.10966217815718163),
+                6000.0: (0.00040578083218431024, 7.623694952232617e-06,
+                         -0.16449326723577243),
+                8000.0: (6.185088871198652e-05, 1.9447845568883524e-06,
+                         -0.21932435631436326),
+                10000.0: (1.3622165852394445e-05, 7.26603903800055e-07,
+                          -0.27415544539295406),
+                12000.0: (3.864008009217326e-06, 3.212475085753105e-07,
+                          -0.32898653447154486),
+                14000.0: (1.3166677063701259e-06, 1.5694953916103646e-07,
+                          -0.38381762355013566),
+                15000.0: (8.114646500242023e-07, 1.1281769544925817e-07,
+                          -0.41123316808943106),
+                16000.0: (5.156228783189972e-07, 8.236836333803587e-08,
+                          -0.4386487126287265),
+            },
+            "gamma4": (802137.7594901699, 931.0599394903296,
+                       -0.020893249742752387),
         },
-        "gamma4": (802137.759655979, 931.0599230254772,
-                   -0.020893249742752387),
+        "X86_V3": {
+            "aperture": {
+                1000.0: (0.2114054107055538, 0.08909262902019649,
+                         -0.027415544573862777),
+                2000.0: (0.07251845097709246, 0.0027181850301142064,
+                         -0.054831089147725554),
+                3000.0: (0.019427237832494695, 0.0003125304284427489,
+                         -0.08224663372158832),
+                4000.0: (0.004598793059342611, 6.686046177140435e-05,
+                         -0.10966217829545111),
+                6000.0: (0.000405780831492695, 7.623694925939996e-06,
+                         -0.16449326744317663),
+                8000.0: (6.185088853201004e-05, 1.944784567961877e-06,
+                         -0.21932435659090221),
+                10000.0: (1.362216577509901e-05, 7.266039068692057e-07,
+                          -0.2741554457386277),
+                12000.0: (3.864007974758868e-06, 3.212475092462868e-07,
+                          -0.32898653488635327),
+                14000.0: (1.3166676891343486e-06, 1.5694953919455916e-07,
+                          -0.3838176240340788),
+                15000.0: (8.114646379154308e-07, 1.1281769536681004e-07,
+                          -0.4112331686079416),
+                16000.0: (5.156228692241903e-07, 8.23683631847313e-08,
+                          -0.43864871318180443),
+            },
+            "gamma4": (802137.759655979, 931.0599230254772,
+                       -0.020893249742752387),
+        },
     },
 }
+GOLDEN_QMC["7"]["X86_V4"] = GOLDEN_QMC["7"]["X86_V3"]
 
 
 def test_vacuum_factorizes_exactly():
@@ -185,13 +219,29 @@ def test_shared_pass_matches_single_channel_calls():
     assert batch[-1].diagnostics["vacuum_closed_form"]
 
 
+def dispatch_class():
+    """The x86-64 level numpy dispatches to, the highest X86_V* in what
+    cli._simd() reports; all of numpy's features elsewhere, None where
+    numpy cannot report them."""
+    simd = cli._simd()
+    if simd is None:
+        return None
+    features = simd["baseline"] + simd["found"]
+    levels = [f for f in features if f.startswith("X86_V")]
+    return max(levels) if levels else " ".join(features)
+
+
 def test_kernel_version_tripwire():
     # Every cached stats entry is keyed by KERNEL_VERSION, so a change that
-    # moves a QMC result must bump it and add its row to GOLDEN_QMC. Value
+    # moves a QMC result must bump it and add its rows to GOLDEN_QMC. Value
     # and error are held to 1e-9 of the error, which absorbs last-ulp
-    # differences between CPUs and numpy builds; s_max, an exponent, to
-    # 1e-9 of itself.
-    golden = GOLDEN_QMC[KERNEL_VERSION]
+    # differences between CPUs within a dispatch class; s_max, an exponent,
+    # to 1e-9 of itself. A class without a row is skipped, not passed.
+    cls = dispatch_class()
+    golden = GOLDEN_QMC[KERNEL_VERSION].get(cls)
+    if golden is None:
+        pytest.skip("no golden row of kernel %s for numpy dispatch class %s"
+                    % (KERNEL_VERSION, cls))
     lengths = list(golden["aperture"])
     chans = [make_channel(4e-14, L) for L in lengths] + [VAC]
     results = aperture_cov_qmc_many(chans, log2_points=12, seed=0)
@@ -230,7 +280,8 @@ def test_float32_trigonometry_matches_float64_reference(monkeypatch):
     # points, the float64 scan moves no covariance at 1-16 km and no gamma4
     # value by 0.01 of its standard error (at the default budget the
     # largest move was 1e-5 of it).
-    chans = [make_channel(4e-14, L) for L in GOLDEN_QMC["7"]["aperture"]]
+    chans = [make_channel(4e-14, L)
+             for L in GOLDEN_QMC["7"]["X86_V3"]["aperture"]]
     pairs = [((0.0, 0.0), (0.0, 0.0)), ((0.01, 0.0), (0.0, 0.005)),
              ((0.01, 0.0), (0.005, 0.0))]
 

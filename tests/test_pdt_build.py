@@ -8,11 +8,13 @@ import pytest
 from conftest import GEOMETRY, make_channel
 from turbchan import (CompositePdt, DecoyParams, StatsBudget, WeibullParams,
                       averaged_key_rate, channel_stats, channel_stats_many,
-                      composite_mu, composite_pdt_build,
+                      composite_moments, composite_mu, composite_pdt_build,
                       composite_pdt_density, composite_pdt_sample,
                       composite_rule, key_rate_integrand,
-                      postselected_moments, tracked_exceedance, tracked_pdt)
+                      postselected_moments, tracked_exceedance, tracked_pdt,
+                      weibull_params)
 from turbchan import pdt
+from turbchan.kernels.stats import BeamStats
 
 import oracles
 
@@ -98,16 +100,74 @@ def test_rule_reproduces_postselected_moments(fig2_laws, length, fraction):
     assert abs(w @ eta ** 2 - m2) <= 1e-12 * m2
 
 
+def point_mass():
+    # Neither wandering nor conditional width: the atom at eta0_max, whose
+    # one node lands 1 ulp off it through composite_mu.
+    wp = weibull_params(A, 0.05)
+    return composite_pdt_build(BeamStats(
+        mean_eta=wp.eta0_max, mean_eta2=wp.eta0_max ** 2, sigma_bw2=0.0,
+        wst2=0.0025, se_mean_eta=0.0, se_mean_eta2=0.0, se_sigma_bw2=0.0,
+        diagnostics={}), A)
+
+
 def test_rule_of_point_mass_and_zero_width(vacuum, zero_width_comp):
     law = composite_pdt_build(vacuum, A)
     eta, w = composite_rule(law)
     assert eta.tolist() == [law.atom] and w.tolist() == [1.0]
     assert (averaged_key_rate(eta, w, DecoyParams()).rate
             == key_rate_integrand(law.atom, DecoyParams()))
+    # The one node of a point mass is its atom to rounding.
+    law = point_mass()
+    assert law.family == "degenerate"
+    eta, w = composite_rule(law)
+    assert w.tolist() == [1.0]
+    assert abs(eta[0] - law.atom) <= 2.0 * np.spacing(law.atom)
     c = zero_width_comp
     eta, w = composite_rule(c)
     assert np.array_equal(eta, np.exp(-c.node_mu))
     assert np.array_equal(w, c.weights)
+
+
+@pytest.fixture(scope="module")
+def unwandering_laws(stats8, comp1):
+    # The laws without wandering: outside the window, perfectly tracked, a
+    # point mass.
+    return [composite_pdt_build(stats8, A), tracked_pdt(comp1, 1.0),
+            point_mass()]
+
+
+def test_law_without_wandering_has_one_node(unwandering_laws, monkeypatch):
+    # Every node of a law without wandering sits at radius 0, so one node
+    # is the whole mixture: it answers as the same law on MIN_NODES nodes.
+    grid = np.linspace(0.0, 1.0, 501)
+    p = DecoyParams()
+
+    def answers(law):
+        # Postselected at 0 and at half the mean, where the acceptance is
+        # far from the tail that 1 - (sum of node terms) cancels in.
+        ps = [postselected_moments(law, 0.0)]
+        ps.append(postselected_moments(law, 0.5 * ps[0][0]))
+        return (composite_pdt_density(grid, law),
+                tracked_exceedance(grid, law), ps,
+                averaged_key_rate(*composite_rule(law), p).rate,
+                composite_moments(law))
+
+    got = [answers(law) for law in unwandering_laws]
+    monkeypatch.setattr(pdt, "_node_count", lambda *a: pdt.MIN_NODES)
+    for law, (dens, exc, ps, rate, m) in zip(unwandering_laws, got):
+        assert law.sigma_bw2 == 0.0 and law.node_count == 1
+        forced = dataclasses.replace(law)
+        assert forced.node_count == pdt.MIN_NODES
+        want = answers(forced)
+        np.testing.assert_allclose(dens, want[0], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(exc, want[1], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(ps, want[2], rtol=1e-13, atol=0.0)
+        assert rate == pytest.approx(want[3], rel=1e-13, abs=0.0)
+        assert (m.mean_eta, m.mean_eta2) == pytest.approx(
+            (want[4].mean_eta, want[4].mean_eta2), rel=1e-13, abs=0.0)
+        # The half rule of one node is itself: only the floor is quoted.
+        assert m.se_mean_eta == pdt.NORM_RTOL * m.mean_eta
+        assert m.se_mean_eta2 == pdt.NORM_RTOL * m.mean_eta2
 
 
 @pytest.mark.parametrize("eta0,sigma,s,lam", [

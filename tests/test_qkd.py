@@ -85,6 +85,8 @@ def test_decoy_ordering_enforced(kwargs):
     dict(e_det=-0.01),
     dict(e_det=0.51),
     dict(f_ec=0.99),
+    dict(y0=float("nan")),
+    dict(f_ec=float("nan")),
 ])
 def test_decoy_domain_enforced(kwargs):
     with pytest.raises(DomainError):

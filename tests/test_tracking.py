@@ -23,6 +23,12 @@ def test_config_validation(comp1):
     assert tracked_pdt(comp1, 0.0, jitter2=j2).sigma_bw2 == 2.0 * j2
 
 
+@pytest.mark.parametrize("jitter2", [math.nan, math.inf])
+def test_jitter_not_finite(comp1, jitter2):
+    with pytest.raises(InvalidTracking):
+        tracked_pdt(comp1, 0.5, jitter2)
+
+
 @pytest.mark.parametrize("fraction", [-0.1, 1.0001, 2.0])
 def test_fraction_out_of_range(comp1, fraction):
     with pytest.raises(InvalidTracking):
