@@ -1,10 +1,12 @@
 """Content-addressed cache for computed beam statistics.
 
 Entries are keyed by a sha256 over the channel parameters, the sampling
-budget, the RNG seed and the kernel version, so any change that could alter
-the numbers is a miss by construction. Files carry their own payload hash;
-a failed integrity check degrades to a miss with a warning rather than an
-error, since the pipeline can always recompute. A lookup that has to
+budget, the RNG seed, the kernel version and numpy's dispatch class (whose
+float32 loops set the scan's last bits), so any change that could alter
+the numbers is a miss by construction, also in a cache shared by hosts of
+different classes. Files carry their own payload hash; a failed integrity
+check degrades to a miss with a warning rather than an error, since the
+pipeline can always recompute. A lookup that has to
 sample may also compute and store companion channels in the same pass, so
 that later lookups of them are hits.
 """
@@ -22,7 +24,7 @@ from pathlib import Path
 
 from .channel import ChannelParams
 from .errors import TurbchanError
-from .kernels import KERNEL_VERSION
+from .kernels import KERNEL_VERSION, dispatch_class
 from .kernels.stats import BeamStats, StatsBudget, channel_stats_many
 
 ENV_CACHE_DIR = "TURBCHAN_CACHE_DIR"
@@ -50,6 +52,7 @@ def stats_key(params: ChannelParams, budget: StatsBudget, seed: int) -> str:
         "budget": dataclasses.asdict(budget),
         "seed": int(seed),
         "kernel_version": KERNEL_VERSION,
+        "dispatch_class": dispatch_class(),
     }
     return _digest(payload)
 

@@ -30,7 +30,7 @@ from .channel import rytov_parameter
 from .config import load_scenario
 from .errors import (ApproximationBreakdown, ConfigError,
                      QuadratureNotConverged, TurbchanError)
-from .kernels import KERNEL_VERSION
+from .kernels import KERNEL_VERSION, simd_dispatch
 from .kernels.gamma4 import qmc_threads
 from .kernels.stats import StatsBudget
 from .pdt import composite_pdt_build, composite_pdt_density, composite_rule
@@ -221,18 +221,6 @@ _TABLES = {
 }
 
 
-def _simd():
-    """numpy's SIMD dispatch, which picks the float32 cosines of the
-    covariance scan: the baseline it was built for and the features found
-    beyond it ("found" is absent when there are none). None before numpy
-    1.25, which cannot report it as data."""
-    try:
-        ext = np.show_config(mode="dicts")["SIMD Extensions"]
-    except TypeError:
-        return None
-    return {"baseline": ext["baseline"], "found": ext.get("found", [])}
-
-
 def _run(args) -> int:
     # sweep --workers has no effect: it is only range-checked and recorded.
     workers = getattr(args, "workers", 1)
@@ -279,7 +267,7 @@ def _run(args) -> int:
                      "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": sys.version.split()[0],
-                     "simd": _simd()},
+                     "simd": simd_dispatch()},
         "cache": {"enabled": not args.no_cache, "dir": cache_dir,
                   "hits": sum(hits), "misses": len(hits) - sum(hits)},
         "diagnostics": diag,

@@ -55,17 +55,27 @@ unit prefactor and u.r2', v.r3' once per chunk for every channel of a pass
 reduces one channel, which enters only through the prefactor 2 Cn2 k^2 L of
 S1 and S21 and beta = k/L in the cosines, whatever else shares the pass.
 
-The trigonometry runs in float32: the reduction's phases, their cosines and
-their product h, and the disk map's cosines and sines. The radii, ndtri,
-the exponents, both exponentials and every sum stay float64. On a 2-core
-AVX-512 Xeon this took the reduction from 41% of the scan past the Sobol
-points (360 us per chunk and channel, most of it two float64 np.cos calls)
-to 16% (70 us), and the disk map from 870 to 250 us per chunk; the shared
-terms, mostly ds_segment, now set the cost of a sweep. Each float32 step
-rounds to a relative 2^-24, so the phase error grows with |phase|: on fig2
-at 1 km the phase reaches 41 rad and h moves by at most 2.1e-6. Against
-the float64 scan on the same points no fig2 covariance moved by more than
-1.0e-5 of its standard error.
+Two parts of the scan run in float32. The trigonometry: the reduction's
+phases, their cosines and their product h, and the disk map's cosines and
+sines. And the structure-function exponents: _shared_terms hands
+grouped_exponent float32 copies of u and the six source coordinates, so
+its hypot calls and the four ds_segment sums with their 5/6 powers run in
+float32, and casts S1 and S21 back to float64 once per chunk. The disk
+map's radii, ndtri, u.r2' and v.r3', both exponentials and every sum stay
+float64. On a 2-core AVX-512 Xeon the trigonometry took the reduction from
+41% of the scan past the Sobol points (360 us per chunk and channel, most
+of it two float64 np.cos calls) to 16% (70 us), and the disk map from 870
+to 250 us per chunk; the exponents took grouped_exponent from 1.6 to
+0.77 ms per chunk, mostly float32 power at about a third of the cost of
+float64, which leaves ndtri (0.7 ms) the largest step of the shared terms.
+Each float32 step rounds to a relative 2^-24, so the phase error grows
+with |phase|: on fig2 at 1 km the phase reaches 41 rad and h moves by at
+most 2.1e-6. Against the float64 scan on the same points no fig2
+covariance at 1-16 km moved by more than 1.0e-5 of its standard error
+through the trigonometry, nor by more than 1.2e-4 of it through the
+exponents (seeds 0-2, default budget). numpy picks its float32 cos, sin
+and power loops by CPU feature, so the bits depend on its dispatch class
+(:func:`turbchan.kernels.dispatch_class`).
 """
 
 from __future__ import annotations
@@ -254,10 +264,15 @@ def _fixed_map(uv):
 def _shared_terms(ux, uy, vx, vy, cols, w0):
     """S1, S21 (unit prefactor), u.r2' and v.r3' of a chunk. The source
     columns map to N(0, w0^2/2) per axis by the inverse CDF, clipped away
-    from the endpoints where ndtri diverges."""
+    from the endpoints where ndtri diverges. S1 and S21 are computed from
+    float32 copies of u and the source coordinates and returned in
+    float64; u.r2' and v.r3' are float64."""
     g = ndtri(np.clip(cols, 1e-13, 1.0 - 1e-13)) * (w0 / math.sqrt(2.0))
-    s1, s21 = grouped_exponent(ux, uy, *g.T)
-    return s1, s21, ux * g[:, 2] + uy * g[:, 3], vx * g[:, 4] + vy * g[:, 5]
+    s1, s21 = grouped_exponent(np.asarray(ux, dtype=np.float32),
+                               np.asarray(uy, dtype=np.float32),
+                               *np.ascontiguousarray(g.T, dtype=np.float32))
+    return (s1.astype(np.float64), s21.astype(np.float64),
+            ux * g[:, 2] + uy * g[:, 3], vx * g[:, 4] + vy * g[:, 5])
 
 
 def _channel_sums(s1, s21, au, av, pref, beta):

@@ -8,8 +8,9 @@ a line integral of the 5/3-power law along the segment joining the scaled
 endpoints. :func:`ds_segment` evaluates the xi integral on a Gauss-Legendre
 rule on [0, 1] from :func:`turbchan.quadrature.gauss_legendre`, which the
 caller passes. The sampled fourth-order path (``kernels.gamma4``) uses 8
-nodes, whose error is far below the sampling noise of the estimates it
-feeds; the tests take the 32-node rule as their reference.
+nodes on float32 coordinates, whose error is far below the sampling noise
+of the estimates it feeds; the tests take the 32-node rule in float64 as
+their reference.
 
 Relative error against adaptive quadrature split at the vertex of the
 quadratic under the power, over 300 pairs with independent Gaussian
@@ -62,8 +63,17 @@ def ds_segment(rx, ry, px, py, prefactor: float, nodes, weights):
     8-node rule of the sampled path keeps about 2.3e-3 relative accuracy
     (module docstring). Rounding can push q a few ulps below zero near that
     kink, so q is clamped at 0 before the power.
+
+    The sum runs in the floating dtype of the four components, to which
+    the rule is cast: float32 arrays give a float32 result, while Python
+    scalars, integers and float64 arrays give float64.
     """
-    rx, ry, px, py = (np.asarray(v, dtype=np.float64) for v in (rx, ry, px, py))
+    rx, ry, px, py = (np.asarray(v) for v in (rx, ry, px, py))
+    dtype = np.result_type(rx, ry, px, py)
+    if dtype.kind != "f":
+        dtype = np.dtype(np.float64)
+    rx, ry, px, py, nodes, weights = (np.asarray(v, dtype=dtype) for v in
+                                      (rx, ry, px, py, nodes, weights))
     dx = rx - px
     dy = ry - py
     a = dx * dx + dy * dy

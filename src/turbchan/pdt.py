@@ -422,14 +422,16 @@ def composite_mu(c, r0):
 
 
 def _component_sum(c, x, kernel):
-    # sum_k w_k kernel((x + mu_k) / sigma_r0) / Phi(mu_k / sigma_r0) at each
-    # log transmittance x, over chunks of nodes.
+    # sum_k w_k kernel((x + mu_k) / sigma_r0, k) / Phi(mu_k / sigma_r0) at
+    # each log transmittance x, over chunks of nodes; k is the chunk's slice
+    # of the nodes, for a kernel with per-node terms.
     mu, coef = c.node_mu, c.node_coef
     acc = np.zeros(x.size)
     for start in range(0, mu.size, COMPONENT_CHUNK):
-        m = mu[start:start + COMPONENT_CHUNK, None]
-        acc += coef[start:start + COMPONENT_CHUNK] @ kernel(
-            (x[None, :] + m) / c.sigma_r0)
+        k = slice(start, start + COMPONENT_CHUNK)
+        z = x[None, :] + mu[k, None]
+        z /= c.sigma_r0
+        acc += coef[k] @ kernel(z, k)
     return acc
 
 
@@ -453,7 +455,7 @@ def composite_pdt_density(eta, c):
     inside = (eta_arr > 0.0) & (eta_arr <= 1.0)
     if inside.any():
         e = eta_arr[inside]
-        acc = _component_sum(c, np.log(e), lambda z: np.exp(-0.5 * z * z))
+        acc = _component_sum(c, np.log(e), lambda z, k: np.exp(-0.5 * z * z))
         out[inside] = acc / (c.sigma_r0 * _SQRT_2PI * e)
     return float(out[0]) if np.ndim(eta) == 0 else out
 

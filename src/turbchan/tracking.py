@@ -64,6 +64,20 @@ def _cut_xi(c, eta):
             / math.sqrt(c.sigma_bw2))
 
 
+def _normal_mass(lo, hi):
+    """Phi(hi) - Phi(lo) for lo <= hi, from the upper tails where hi > 0
+    and from the lower tails elsewhere, so that no difference of two
+    numbers near 1 cancels a small mass to rounding. Computed in the
+    buffer of lo, a float array that is overwritten; hi may be a column
+    that lo broadcasts against, taking Phi once per element of each."""
+    side = np.where(hi > 0.0, -1.0, 1.0)
+    lo *= side
+    special.ndtr(lo, out=lo)
+    np.subtract(special.ndtr(side * hi), lo, out=lo)
+    lo *= side
+    return lo
+
+
 def tracked_exceedance(eta, c):
     """Probability that the transmittance of a (tracked) law exceeds eta.
 
@@ -96,10 +110,15 @@ def tracked_exceedance(eta, c):
         elif c.sigma_r0 == 0.0:
             out[inside] = -np.expm1(-0.5 * _cut_xi(c, e) ** 2)
         else:
-            # The node weights sum to 1 only to rounding: near eta = 1 the
-            # complement can land an ulp below 0.
-            out[inside] = np.maximum(
-                1.0 - _component_sum(c, np.log(e), special.ndtr), 0.0)
+            # Each node's mass in (eta, 1], Phi(b_k) - Phi(a_k) with
+            # a_k = (ln eta + mu_k) / sigma_r0 and b_k = mu_k / sigma_r0,
+            # summed directly: 1 - (the mass below eta) would keep a small
+            # exceedance only to 1e-16 / exceedance. The node weights sum
+            # to 1 only to rounding, so near eta = 0 the sum can land an ulp
+            # above 1.
+            b = c.node_mu / c.sigma_r0
+            out[inside] = np.minimum(_component_sum(
+                c, np.log(e), lambda a, k: _normal_mass(a, b[k, None])), 1.0)
     return float(out[0]) if np.ndim(eta) == 0 else out
 
 
@@ -153,8 +172,7 @@ def postselected_moments(c, eta_min):
         # E[eta^n; eta_min < eta <= 1] for the nontruncated component,
         # renormalized by F(1) to match the truncated conditional law.
         shift = n * sig * sig
-        mass = (special.ndtr((mu - shift) / sig)
-                - special.ndtr((ln_min + mu - shift) / sig))
+        mass = _normal_mass((ln_min + mu - shift) / sig, (mu - shift) / sig)
         return float(w @ (np.exp(-n * mu + 0.5 * n * n * sig * sig) * mass))
 
     return partial(1) / acceptance, partial(2) / acceptance, acceptance

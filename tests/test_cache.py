@@ -4,11 +4,14 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
-from turbchan import (ChannelParams, StatsBudget, cached_channel_stats_many,
-                      channel_stats, default_cache_dir, stats_cache_get,
-                      stats_cache_put, stats_key)
+from turbchan import (ChannelParams, StatsBudget, cache,
+                      cached_channel_stats_many, channel_stats,
+                      default_cache_dir, stats_cache_get, stats_cache_put,
+                      stats_key)
+from turbchan.kernels import dispatch_class
 
 BUDGET = StatsBudget(10)
 
@@ -43,6 +46,41 @@ def test_key_shape_and_sensitivity(chan):
     other = ChannelParams(cn2=3e-15, wavelength=800e-9, length=1000.0,
                           w0=0.02, aperture_radius=0.04)
     assert key != stats_key(other, BUDGET, 0)
+
+
+def fake_simd(monkeypatch, ext):
+    def show_config(mode):
+        if ext is None:  # numpy before 1.25 has no mode argument
+            raise TypeError("show_config() got an unexpected keyword")
+        return {"SIMD Extensions": ext}
+    monkeypatch.setattr(np, "show_config", show_config)
+
+
+@pytest.mark.parametrize("ext, cls", [
+    ({"baseline": ["X86_V2"], "found": ["X86_V3", "X86_V4", "AVX512_ICL"]},
+     "X86_V4"),
+    ({"baseline": ["X86_V2"], "not found": ["X86_V3", "X86_V4"]}, "X86_V2"),
+    ({"baseline": ["SSE", "SSE2"], "found": ["AVX2"]}, "SSE SSE2 AVX2"),
+    (None, None),
+])
+def test_dispatch_class(monkeypatch, ext, cls):
+    fake_simd(monkeypatch, ext)
+    assert dispatch_class() == cls
+
+
+def test_key_holds_dispatch_class(tmp_path, chan, small_stats, monkeypatch):
+    # numpy's float32 loops give each dispatch class its own scan bits, so a
+    # cache shared by hosts of two classes misses on the other's entries.
+    fake_simd(monkeypatch, {"baseline": ["X86_V2"], "found": ["X86_V3"]})
+    key = stats_key(chan, BUDGET, 0)
+    stats_cache_put(key, small_stats, tmp_path)
+    fake_simd(monkeypatch, {"baseline": ["X86_V2"],
+                            "found": ["X86_V3", "X86_V4"]})
+    assert stats_key(chan, BUDGET, 0) != key
+    monkeypatch.setattr(cache, "channel_stats_many",
+                        lambda chans, budget, seed: [small_stats] * len(chans))
+    [(_, hit)] = cached_channel_stats_many([chan], BUDGET, cache_dir=tmp_path)
+    assert not hit
 
 
 def test_roundtrip(tmp_path, chan, small_stats):

@@ -11,13 +11,14 @@ import types
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import qmc
 
 import turbchan
-from turbchan import cli, gamma2, gamma4
+from turbchan import gamma2, gamma4
 from turbchan.errors import DomainError
 from turbchan.kernels import (KERNEL_VERSION, aperture_cov_qmc,
-                               aperture_cov_qmc_many)
+                               aperture_cov_qmc_many, dispatch_class)
 from turbchan.kernels import gamma4 as gamma4_module
 from turbchan.kernels.structure_function import ds_prefactor
 
@@ -36,8 +37,10 @@ GOLDEN_SHA256 = ("4072846d5fdae62eb57a885ea847a0b2"
 # version: the flux covariance of the fig2 channel at each sweep length, and
 # gamma4((0.01, 0), (0, 0.005)) at 1 km. From version 7 on, whose float32
 # cosines numpy dispatches by CPU feature, one row per dispatch class
-# (dispatch_class): X86_V2 moves the values by up to 1.8e-7 of their error,
-# X86_V3 and X86_V4 agree to the last ulp and share a row.
+# (dispatch_class). In version 7 X86_V2 moves the values by up to 1.8e-7 of
+# their error, and X86_V3 and X86_V4 agree to the last ulp and share a row.
+# Version 8 adds float32 power, which X86_V4 dispatches apart from X86_V3,
+# so each class has its own row.
 GOLDEN_QMC = {
     "6": {
         "aperture": {
@@ -123,6 +126,92 @@ GOLDEN_QMC = {
             },
             "gamma4": (802137.759655979, 931.0599230254772,
                        -0.020893249742752387),
+        },
+    },
+    "8": {
+        "X86_V2": {
+            "aperture": {
+                1000.0: (0.21140517186252886, 0.08909261753846377,
+                         -0.027415637652335886),
+                2000.0: (0.07251844181647128, 0.0027181815301349386,
+                         -0.05483127530467177),
+                3000.0: (0.01942723210809318, 0.00031253000751776494,
+                         -0.08224691295700766),
+                4000.0: (0.004598791038482879, 6.686039729297545e-05,
+                         -0.10966255060934355),
+                6000.0: (0.0004057805274870727, 7.623675099863385e-06,
+                         -0.16449382591401532),
+                8000.0: (6.185082020098947e-05, 1.9447777748950013e-06,
+                         -0.2193251012186871),
+                10000.0: (1.3622145766128517e-05, 7.26602089365187e-07,
+                          -0.27415637652335884),
+                12000.0: (3.864000995534942e-06, 3.2124710770462853e-07,
+                          -0.32898765182803064),
+                14000.0: (1.3166649356768193e-06, 1.5694951289765234e-07,
+                          -0.3838189271327024),
+                15000.0: (8.114628458610876e-07, 1.1281772900008843e-07,
+                          -0.4112345647850383),
+                16000.0: (5.156216809057186e-07, 8.236842234477877e-08,
+                          -0.4386502024373742),
+            },
+            "gamma4": (802137.7466681956, 931.0595669044077,
+                       -0.02089336352471745),
+        },
+        "X86_V3": {
+            "aperture": {
+                1000.0: (0.21140529429846372, 0.08909263678012151,
+                         -0.02741535040904272),
+                2000.0: (0.07251843797280617, 0.002718185390821029,
+                         -0.05483070081808544),
+                3000.0: (0.01942723204132636, 0.0003125304274064143,
+                         -0.08224605122712816),
+                4000.0: (0.004598791079986684, 6.686047995646604e-05,
+                         -0.10966140163617089),
+                6000.0: (0.0004057805410343527, 7.623687515212165e-06,
+                         -0.16449210245425633),
+                8000.0: (6.185082467784008e-05, 1.9447822188363507e-06,
+                         -0.21932280327234177),
+                10000.0: (1.3622147761263018e-05, 7.266040209058069e-07,
+                          -0.2741535040904272),
+                12000.0: (3.864002091596407e-06, 3.212480156789433e-07,
+                          -0.32898420490851266),
+                14000.0: (1.3166656066686664e-06, 1.5694996017546335e-07,
+                          -0.38381490572659804),
+                15000.0: (8.114633833852498e-07, 1.1281804672189359e-07,
+                          -0.4112302561356408),
+                16000.0: (5.15622115270315e-07, 8.236864932356234e-08,
+                          -0.43864560654468354),
+            },
+            "gamma4": (802137.7468340049, 931.0595504397745,
+                       -0.02089336352471745),
+        },
+        "X86_V4": {
+            "aperture": {
+                1000.0: (0.21140537529664716, 0.08909263530407555,
+                         -0.027414773678368167),
+                2000.0: (0.07251844202892785, 0.0027181860483970555,
+                         -0.054829547356736334),
+                3000.0: (0.019427232666448184, 0.00031253046684476184,
+                         -0.0822443210351045),
+                4000.0: (0.004598791234200091, 6.686056896925103e-05,
+                         -0.10965909471347267),
+                6000.0: (0.00040578058161994384, 7.623720752955022e-06,
+                         -0.164488642070209),
+                8000.0: (6.18508430835733e-05, 1.9447899464252696e-06,
+                         -0.21931818942694534),
+                10000.0: (1.3622157214185385e-05, 7.266056706590503e-07,
+                          -0.27414773678368165),
+                12000.0: (3.864007309129989e-06, 3.2124832656417313e-07,
+                          -0.328977284140418),
+                14000.0: (1.3166686495297434e-06, 1.5694997166976604e-07,
+                          -0.3838068314971543),
+                15000.0: (8.114657475669388e-07, 1.1281801678293118e-07,
+                          -0.4112216051755225),
+                16000.0: (5.156239708379194e-07, 8.236860419274165e-08,
+                          -0.4386363788538907),
+            },
+            "gamma4": (802137.7504239178, 931.060111927201,
+                       -0.02089336352471745),
         },
     },
 }
@@ -219,18 +308,6 @@ def test_shared_pass_matches_single_channel_calls():
     assert batch[-1].diagnostics["vacuum_closed_form"]
 
 
-def dispatch_class():
-    """The x86-64 level numpy dispatches to, the highest X86_V* in what
-    cli._simd() reports; all of numpy's features elsewhere, None where
-    numpy cannot report them."""
-    simd = cli._simd()
-    if simd is None:
-        return None
-    features = simd["baseline"] + simd["found"]
-    levels = [f for f in features if f.startswith("X86_V")]
-    return max(levels) if levels else " ".join(features)
-
-
 def test_kernel_version_tripwire():
     # Every cached stats entry is keyed by KERNEL_VERSION, so a change that
     # moves a QMC result must bump it and add its rows to GOLDEN_QMC. Value
@@ -275,13 +352,21 @@ def float64_channel_sums(s1, s21, au, av, pref, beta):
     return np.sum(z), np.sum(z * z), np.count_nonzero(s > 1e-12)
 
 
+def float64_shared_terms(ux, uy, vx, vy, cols, w0):
+    # The shared terms with float64 exponents (version 7).
+    g = ndtri(np.clip(cols, 1e-13, 1.0 - 1e-13)) * (w0 / math.sqrt(2.0))
+    s1, s21 = gamma4_module.grouped_exponent(ux, uy, *g.T)
+    return s1, s21, ux * g[:, 2] + uy * g[:, 3], vx * g[:, 4] + vy * g[:, 5]
+
+
 def test_float32_trigonometry_matches_float64_reference(monkeypatch):
-    # The scan takes its phases, cosines and sines in float32. On the same
-    # points, the float64 scan moves no covariance at 1-16 km and no gamma4
-    # value by 0.01 of its standard error (at the default budget the
-    # largest move was 1e-5 of it).
+    # The scan takes its phases, cosines and sines and its structure-function
+    # exponents S1 and S21 in float32. On the same points, neither the scan
+    # with float64 exponents nor the all-float64 scan moves a covariance at
+    # 1-16 km or a gamma4 value by 0.01 of its standard error (at the
+    # default budget the largest moves were 1e-5 and 2e-4 of it).
     chans = [make_channel(4e-14, L)
-             for L in GOLDEN_QMC["7"]["X86_V3"]["aperture"]]
+             for L in GOLDEN_QMC["6"]["aperture"]]
     pairs = [((0.0, 0.0), (0.0, 0.0)), ((0.01, 0.0), (0.0, 0.005)),
              ((0.01, 0.0), (0.005, 0.0))]
 
@@ -290,13 +375,17 @@ def test_float32_trigonometry_matches_float64_reference(monkeypatch):
             gamma4(r1, r2, C1, log2_points=12) for r1, r2 in pairs]
 
     fast = scan()
+    monkeypatch.setattr(gamma4_module, "_shared_terms", float64_shared_terms)
+    exponents64 = scan()
     monkeypatch.setattr(gamma4_module, "_disk_map", float64_disk_map)
     monkeypatch.setattr(gamma4_module, "_channel_sums", float64_channel_sums)
-    ref = scan()
-    assert any(got.value != want.value for got, want in zip(fast, ref))
-    for got, want in zip(fast, ref):
-        assert abs(got.value - want.value) <= 0.01 * want.std_error
-        assert abs(got.std_error - want.std_error) <= 0.01 * want.std_error
+    all64 = scan()
+    for ref in (exponents64, all64):
+        assert any(got.value != want.value for got, want in zip(fast, ref))
+        for got, want in zip(fast, ref):
+            assert abs(got.value - want.value) <= 0.01 * want.std_error
+            assert abs(got.std_error - want.std_error) <= (
+                0.01 * want.std_error)
 
 
 def test_shared_pass_needs_common_geometry():

@@ -170,6 +170,19 @@ def test_law_without_wandering_has_one_node(unwandering_laws, monkeypatch):
         assert m.se_mean_eta2 == pdt.NORM_RTOL * m.mean_eta2
 
 
+def test_small_acceptance_keeps_its_precision(stats8, monkeypatch):
+    # The 8 km law postselected at 0.1 keeps 8.6e-6 of its mass. Its node
+    # masses are summed from the tails, not as 1 - (mass below eta_min), so
+    # the one-node and 64-node forms agree to rounding (1.3e-11 relative
+    # when the complement was taken).
+    law = composite_pdt_build(stats8, A)
+    one = postselected_moments(law, 0.1)
+    assert one[2] < 1e-5
+    monkeypatch.setattr(pdt, "_node_count", lambda *a: pdt.MIN_NODES)
+    many = postselected_moments(dataclasses.replace(law), 0.1)
+    np.testing.assert_allclose(one, many, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("eta0,sigma,s,lam", [
     # Steep attenuation: node locations reach 1e14 and beyond.
     (1e-4, 0.7, 1.5, 16.1),

@@ -128,3 +128,22 @@ def test_sampled_rule_against_adaptive_quadrature(pairs, median_bound,
     rel = np.abs(got - want) / want
     assert np.median(rel) <= median_bound
     assert rel.max() <= max_bound
+
+
+@pytest.mark.parametrize("pairs", [_gaussian_pairs, _anti_parallel_pairs])
+def test_float32_inputs_give_float32_result(pairs):
+    # The sampled path passes float32 coordinates: the rule is cast to
+    # them, so the sum stays float32 and within 1e-5 of the float64 one.
+    r, p = pairs(np.random.default_rng(2), 300)
+    rule = gauss_legendre(SEGMENT_NODES)
+    want = ds_segment(r[:, 0], r[:, 1], p[:, 0], p[:, 1], 1.0, *rule)
+    r32, p32 = r.astype(np.float32), p.astype(np.float32)
+    got = ds_segment(r32[:, 0], r32[:, 1], p32[:, 0], p32[:, 1], 1.0, *rule)
+    assert want.dtype == np.float64 and got.dtype == np.float32
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=0.0)
+
+
+def test_scalar_inputs_stay_float64():
+    rule = gauss_legendre(SEGMENT_NODES)
+    for args in ((0.01, 0.0, 0.0, 0.02), (0, 0, 1, 0)):
+        assert ds_segment(*args, 1.0, *rule).dtype == np.float64
