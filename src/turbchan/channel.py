@@ -44,13 +44,14 @@ class ChannelParams:
     extinction_db_per_km: float = 0.0
 
     def __post_init__(self):
-        if not self.cn2 >= 0.0:
-            raise ConfigError("cn2 must be >= 0", field="cn2")
+        if not 0.0 <= self.cn2 < math.inf:
+            raise ConfigError("cn2 must be finite and >= 0", field="cn2")
         for name in ("wavelength", "length", "w0", "aperture_radius"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError("%s must be > 0" % name, field=name)
-        if not self.extinction_db_per_km >= 0.0:
-            raise ConfigError("extinction_db_per_km must be >= 0",
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError("%s must be finite and > 0" % name,
+                                  field=name)
+        if not 0.0 <= self.extinction_db_per_km < math.inf:
+            raise ConfigError("extinction_db_per_km must be finite and >= 0",
                               field="extinction_db_per_km")
 
     @property

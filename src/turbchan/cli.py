@@ -2,7 +2,9 @@
 
 Each subcommand produces one table from a channel list and a rows function
 of those channels' stats; _run looks the stats up in one batch, so only it
-touches the stats cache. A lookup that misses also fills the cache for every
+touches the stats cache. A rows function returns only its own columns and
+values; _run owns the CSV layout and leads the header and every row with
+scenario_id and seed. A lookup that misses also fills the cache for every
 other channel of the scenario (the scenario channel and each sweep length)
 in the same covariance pass, so the tables after the first only read; a
 failure of one of those other channels never fails the table. CSV bodies
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -51,17 +54,16 @@ MANIFEST_FORMAT = "turbchan.run-manifest"
 MANIFEST_VERSION = 1
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return "%.9g" % value
-    return str(value)
-
-
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, scenario, header, rows) -> None:
+    """The table behind scenario_id and seed on every line: floats at 9
+    significant digits, anything else as str.  Every row of a table has the
+    value types of its first, so the first row's types give one template."""
+    lead = "%s,%s," % (scenario.scenario_id, scenario.seed)
+    template = ",".join("%.9g" if isinstance(v, float) else "%s"
+                        for v in rows[0]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("scenario_id,seed," + ",".join(header) + "\n")
+        fh.writelines(lead + template % tuple(row) for row in rows)
 
 
 def _eta_grid(step: float) -> np.ndarray:
@@ -115,12 +117,11 @@ def _law(looked_up, diag):
 def _stats_rows(scenario, looked_up, diag):
     (channel, st), = looked_up
     diag["stats"] = st.diagnostics
-    header = ["scenario_id", "seed", "cn2", "length_m", "mean_eta",
-              "se_mean_eta", "mean_eta2", "se_mean_eta2", "sigma_bw2",
-              "se_sigma_bw2", "wst2", "rytov"]
-    row = [scenario.scenario_id, scenario.seed, channel.cn2, channel.length,
-           st.mean_eta, st.se_mean_eta, st.mean_eta2, st.se_mean_eta2,
-           st.sigma_bw2, st.se_sigma_bw2, st.wst2, rytov_parameter(channel)]
+    header = ["cn2", "length_m", "mean_eta", "se_mean_eta", "mean_eta2",
+              "se_mean_eta2", "sigma_bw2", "se_sigma_bw2", "wst2", "rytov"]
+    row = [channel.cn2, channel.length, st.mean_eta, st.se_mean_eta,
+           st.mean_eta2, st.se_mean_eta2, st.sigma_bw2, st.se_sigma_bw2,
+           st.wst2, rytov_parameter(channel)]
     return header, [row]
 
 
@@ -128,46 +129,37 @@ def _pdt_rows(scenario, looked_up, diag):
     law = _law(looked_up, diag)
     grid = _eta_grid(scenario.eta_step)
     dens = composite_pdt_density(grid, law)
-    header = ["scenario_id", "seed", "family", "eta", "density"]
-    rows = [[scenario.scenario_id, scenario.seed, law.family, float(e),
-             float(d)]
-            for e, d in zip(grid, dens)]
-    return header, rows
+    return ["family", "eta", "density"], [
+        [law.family, e, d] for e, d in zip(grid, dens)]
 
 
 def _exceedance_rows(scenario, looked_up, diag):
     law = _law(looked_up, diag)
     grid = _eta_grid(scenario.eta_step)
-    header = ["scenario_id", "seed", "fraction", "eta", "density",
-              "exceedance"]
     rows = []
     for f in scenario.tracking_fractions:
         tc = tracked_pdt(law, f, scenario.tracking_jitter2)
         dens = composite_pdt_density(grid, tc)
         exc = tracked_exceedance(grid, tc)
-        rows.extend([scenario.scenario_id, scenario.seed, float(f), float(e),
-                     float(d), float(x)]
-                    for e, d, x in zip(grid, dens, exc))
-    return header, rows
+        rows.extend([f, e, d, x] for e, d, x in zip(grid, dens, exc))
+    return ["fraction", "eta", "density", "exceedance"], rows
 
 
 def _squeezing_rows(scenario, looked_up, diag):
     law = _law(looked_up, diag)
-    header = ["scenario_id", "seed", "fraction", "eta_min", "acceptance",
-              "mean_eta_ps", "squeezing_db"]
     rows = []
     for f in scenario.tracking_fractions:
         tc = tracked_pdt(law, f, scenario.tracking_jitter2)
         for eta_min in scenario.postselection_eta_min:
             m1, _, acc = postselected_moments(tc, eta_min)
             sq = attenuated_squeezing_db(scenario.squeezing_input_db, m1)
-            rows.append([scenario.scenario_id, scenario.seed, float(f),
-                         float(eta_min), acc, m1, sq])
-    return header, rows
+            rows.append([f, eta_min, acc, m1, sq])
+    return ["fraction", "eta_min", "acceptance", "mean_eta_ps",
+            "squeezing_db"], rows
 
 
-QKD_HEADER = ["scenario_id", "seed", "length_m", "family", "mean_loss_db",
-              "rate", "rate_raw_mean", "rate_tracked", "improvement"]
+QKD_HEADER = ["length_m", "family", "mean_loss_db", "rate", "rate_raw_mean",
+              "rate_tracked", "improvement"]
 
 
 def _key_rate(law, ext, decoy):
@@ -187,8 +179,8 @@ def _qkd_point(scenario, channel, st):
                        ext, scenario.decoy).rate
     imp = relative_improvement(rate_t, res.rate) if rate_t > 0.0 else 0.0
     loss = mean_loss_db(st.mean_eta * ext)
-    row = [scenario.scenario_id, scenario.seed, channel.length, family, loss,
-           res.rate, res.diagnostics["raw_mean"], rate_t, imp]
+    row = [channel.length, family, loss, res.rate, res.diagnostics["raw_mean"],
+           rate_t, imp]
     point_diag = {"length_m": channel.length, "family": family,
                   "mean_loss_db": loss, "stats": st.diagnostics,
                   "rate_diag": res.diagnostics, **_window(law, st)}
@@ -248,7 +240,7 @@ def _run(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / ("%s_%s.csv" % (scenario.scenario_id, args.command))
-    _write_csv(csv_path, header, rows)
+    _write_csv(csv_path, scenario, header, rows)
     timings["table_s"] = time.perf_counter() - t0 - timings["stats_s"]
     timings["qmc_threads"] = qmc_threads()
 
@@ -284,7 +276,9 @@ def _run(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="turbchan",
         description="Transmittance statistics and key rates for turbulent "

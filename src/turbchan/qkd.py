@@ -166,15 +166,18 @@ def averaged_key_rate(eta, weights, p):
     clamped at zero: the channel either yields key or it does not.  The
     diagnostics hold the raw mean and the weight of the points where the
     one-photon bound or the raw integrand went negative.  Raises
-    DomainError unless eta is a non-empty 1-D array and the weights an
-    array of its shape, non-negative and summing to 1 within 1e-12.
+    DomainError unless eta is a non-empty 1-D array of values in [0, 1] and
+    the weights an array of its shape, non-negative and summing to 1 within
+    1e-12.
     """
     eta, weights = np.asarray(eta, float), np.asarray(weights, float)
     if (eta.ndim != 1 or eta.size < 1 or weights.shape != eta.shape
+            or not np.all((eta >= 0.0) & (eta <= 1.0))
             or not np.all(weights >= 0.0)
             or abs(weights.sum() - 1.0) > 1e-12):
-        raise DomainError("need a non-empty 1-D array of transmittances and "
-                          "as many non-negative weights summing to 1")
+        raise DomainError("need a non-empty 1-D array of transmittances in "
+                          "[0, 1] and as many non-negative weights summing "
+                          "to 1")
     # The raw bound and raw integrand are computed once; the averaged
     # values and the clamp diagnostics both derive from them.
     qs, q1_raw = _one_photon_terms(eta, p)
@@ -204,8 +207,8 @@ def relative_improvement(rate_tracked, rate_untracked):
 
 def mean_loss_db(mean_eta):
     """Mean channel loss in dB; deterministic losses are factors of
-    mean_eta."""
-    if mean_eta <= 0.0:
-        raise DomainError("mean transmittance must be positive, got %g"
+    mean_eta, which must lie in (0, 1]."""
+    if not 0.0 < mean_eta <= 1.0:
+        raise DomainError("mean transmittance must lie in (0, 1], got %g"
                           % mean_eta)
     return -10.0 * math.log10(mean_eta)

@@ -41,7 +41,9 @@ def test_replace_returns_new_instance():
     ("w0", 0.0),
     ("aperture_radius", -0.04),
     ("extinction_db_per_km", -0.1),
-])
+] + [(field, math.inf) for field in ("cn2", "wavelength", "length", "w0",
+                                     "aperture_radius",
+                                     "extinction_db_per_km")])
 def test_validation_names_field(field, value):
     kwargs = dict(cn2=4e-14, wavelength=800e-9, length=1000.0, w0=0.02,
                   aperture_radius=0.04)

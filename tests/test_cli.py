@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from turbchan import cache as cache_module
-from turbchan.cli import main
+from turbchan.cli import build_parser, main
 from turbchan.errors import QuadratureNotConverged
 from turbchan.pdt import RATIO_RANGE
 from turbchan.kernels import stats as stats_module
@@ -394,13 +394,43 @@ def test_manifest_timings(tmp_path):
 
 
 def test_float_formatting_is_stable(tmp_path):
-    cfg = turb_cfg(tmp_path)
-    rc, out = run(["stats", cfg, "--no-cache"], tmp_path, "o1")
-    assert rc == 0
-    row = read_csv(out / "t1_stats.csv")[0]
-    for field in ("mean_eta", "mean_eta2", "sigma_bw2", "rytov"):
-        token = row[field]
-        assert "%.9g" % float(token) == token
+    # Every table leads with scenario_id and seed, and every other field is
+    # family text or a float written at 9 significant digits.
+    for name, sid, tables, extra in (
+            ("fig2_solid", "fig2-solid", FIG2_TABLES, ["--budget", "10"]),
+            ("vacuum", "vacuum", ("stats", "pdt", "exceedance", "qkd"), [])):
+        argv = [str(SCENARIOS / (name + ".cfg")),
+                "--cache-dir", str(tmp_path / "cache"),
+                "--out-dir", str(tmp_path / "o")] + extra
+        for table in tables:
+            assert main([table] + argv) == 0
+            with open(tmp_path / "o" / ("%s_%s.csv" % (sid, table)),
+                      newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header[:2] == ["scenario_id", "seed"], table
+            assert rows
+            for row in rows:
+                assert len(row) == len(header)
+                assert row[:2] == [sid, "0"]
+                for field, token in zip(header[2:], row[2:]):
+                    if field != "family":
+                        assert "%.9g" % float(token) == token, (table, field)
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    # main reuses one parser; an override given to one call must not reach
+    # the next.
+    assert build_parser() is build_parser()
+    cfg = turb_cfg(tmp_path, extra=["scenario.seed = 7"])
+    manifests = []
+    for sub, argv in (("o1", ["--seed", "4"]), ("o2", [])):
+        rc, out = run(["stats", cfg, "--no-cache", "--budget", "10"] + argv,
+                      tmp_path, sub)
+        assert rc == 0
+        manifests.append(json.loads(
+            (out / "t1_stats_manifest.json").read_text()))
+    assert [m["seeds"]["stats"] for m in manifests] == [4, 7]
+    assert [m["cli_overrides"]["seed"] for m in manifests] == [4, None]
 
 
 def test_config_error_exit_code(tmp_path):

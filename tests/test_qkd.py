@@ -194,6 +194,9 @@ def test_averaged_rate_all_negative_reports_zero():
     (np.array([0.5, 0.9]), np.array([0.5, 0.4])),
     (np.array([0.5, 0.9]), np.array([0.5, 0.5 + 1e-11])),
     (np.array([0.5, 0.9]), np.array([0.5, np.nan])),
+    (np.array([np.nan]), np.array([1.0])),
+    (np.array([1.5]), np.array([1.0])),
+    (np.array([0.5, -0.1]), np.array([0.5, 0.5])),
 ])
 def test_averaged_rate_rejects_bad_samples(bad):
     with pytest.raises(DomainError):
@@ -227,5 +230,6 @@ def test_extinction_and_loss_scales():
                                                              rel=1e-14)
     assert mean_loss_db(1.0) == 0.0
     assert mean_loss_db(0.1) == pytest.approx(10.0, rel=1e-14)
-    with pytest.raises(DomainError):
-        mean_loss_db(0.0)
+    for bad in (0.0, -0.1, np.nan, 2.0, np.inf):
+        with pytest.raises(DomainError):
+            mean_loss_db(bad)
